@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.coloring.jones_plassmann import smallest_free_colors
+from repro.graph.csr import CSRGraph, gather_rows
 from repro.utils.rng import as_rng
 
 __all__ = ["speculative_coloring"]
@@ -58,40 +59,28 @@ def speculative_coloring(
     rng = as_rng(seed)
     priority = rng.permutation(n).astype(np.int64)
 
-    indptr, indices = graph.indptr, graph.indices
-    row_of = graph.row_of_entry()
-    non_loop = indices != row_of
-    src_all = row_of[non_loop]
-    dst_all = indices[non_loop]
-
+    indices = graph.indices
     pending = np.arange(n, dtype=np.int64)
     for _ in range(max_rounds):
         if pending.size == 0:
             break
         # --- speculation: every pending vertex picks its mex color from
-        # the *snapshot* (stale reads allowed — that's the speculation).
-        snapshot = colors.copy()
-        edges_scanned = 0
-        for v in pending.tolist():
-            lo, hi = indptr[v], indptr[v + 1]
-            nbrs = indices[lo:hi]
-            edges_scanned += hi - lo
-            used = set(
-                int(c) for c in snapshot[nbrs[nbrs != v]].tolist() if c >= 0
-            )
-            c = 0
-            while c in used:
-                c += 1
-            colors[v] = c
+        # the colors as they stand before the round (stale reads allowed —
+        # that's the speculation).
+        positions, owner = gather_rows(graph, pending)
+        src = pending[owner]
+        dst = indices[positions]
+        non_loop = dst != src
+        src, dst, owner = src[non_loop], dst[non_loop], owner[non_loop]
+        seen = colors[dst]
+        used = seen >= 0
+        colors[pending] = smallest_free_colors(owner[used], seen[used],
+                                               pending.size)
         if work_log is not None:
-            work_log.append((int(pending.size), int(edges_scanned)))
-        # --- conflict detection (vectorized over all non-loop entries):
-        # adjacent equal colors where both endpoints were just colored.
-        in_pending = np.zeros(n, dtype=bool)
-        in_pending[pending] = True
-        live = in_pending[src_all] | in_pending[dst_all]
-        src = src_all[live]
-        dst = dst_all[live]
+            work_log.append((int(pending.size), int(positions.size)))
+        # --- conflict detection over the pending rows: a vertex outside
+        # the round kept a color every pending neighbor saw and avoided,
+        # so clashes join two vertices that were both just colored.
         clash = colors[src] == colors[dst]
         if not clash.any():
             break

@@ -185,11 +185,6 @@ def compute_targets_reference(
 # ---------------------------------------------------------------------------
 # Vectorized kernel
 # ---------------------------------------------------------------------------
-#: Backward-compatible alias — the gather helper moved to
-#: :mod:`repro.core.workspace` so plans can be cached across iterations.
-_gather_rows = gather_rows
-
-
 def _backend_float_dtype(ops: ArrayOps, np_dtype):
     """``np_dtype`` (float32/float64) translated to ``ops``' namespace."""
     if ops.is_numpy:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backends import ArrayOps, get_ops, numpy_ops
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 from repro.lint.sanitizer import snapshot_kernel
 from repro.utils.errors import ValidationError
 
@@ -64,31 +64,6 @@ try:  # SciPy is a declared dependency, but stay importable without it.
     from scipy import sparse as _sparse
 except ImportError:  # pragma: no cover - exercised only on stripped installs
     _sparse = None
-
-
-@snapshot_kernel("graph")
-def gather_rows(graph: CSRGraph, vertices: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Entry positions of all CSR rows in ``vertices``.
-
-    Returns ``(positions, owner)`` where ``positions`` indexes
-    ``graph.indices``/``graph.weights`` and ``owner[e]`` is the index into
-    ``vertices`` owning entry ``e``.
-    """
-    # Plan construction is host-side by design (CSR slicing over the host
-    # graph); ``numpy_ops`` routes the calls through the dispatch tier.
-    xp = numpy_ops
-    indptr = graph.indptr
-    starts = indptr[vertices]
-    lengths = xp.astype(indptr[vertices + 1] - starts, np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return xp.zeros(0, np.int64), xp.zeros(0, np.int64)
-    owner = xp.repeat(xp.arange(len(vertices), dtype=np.int64), lengths)
-    ends = xp.cumsum(lengths)
-    local = xp.arange(total, dtype=np.int64) - xp.repeat(ends - lengths, lengths)
-    positions = xp.repeat(starts, lengths) + local
-    return positions, owner
 
 
 @dataclass

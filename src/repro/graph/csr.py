@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.utils.errors import GraphStructureError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "gather_rows"]
 
 _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
@@ -406,3 +406,24 @@ class CSRGraph:
     def isolated_vertices(self) -> np.ndarray:
         """Ids of all isolated vertices."""
         return np.flatnonzero(self.unweighted_degrees == 0)
+
+
+def gather_rows(graph: CSRGraph, vertices: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of all CSR rows in ``vertices``.
+
+    Returns ``(positions, owner)`` where ``positions`` indexes
+    ``graph.indices``/``graph.weights`` and ``owner[e]`` is the index into
+    ``vertices`` owning entry ``e``.
+    """
+    indptr = graph.indptr
+    starts = indptr[vertices]
+    lengths = (indptr[vertices + 1] - starts).astype(np.int64, copy=False)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    owner = np.repeat(np.arange(len(vertices), dtype=np.int64), lengths)
+    ends = np.cumsum(lengths)
+    local = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+    positions = np.repeat(starts, lengths) + local
+    return positions, owner

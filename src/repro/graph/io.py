@@ -19,6 +19,8 @@ import gzip
 import io as _io
 import math
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -426,26 +428,43 @@ def write_matrix_market(graph: CSRGraph, path) -> None:
 # Binary round-trip
 # ---------------------------------------------------------------------------
 def save_csrz(graph: CSRGraph, path) -> None:
-    """Save ``graph`` to a compressed ``.npz`` container."""
-    np.savez_compressed(
-        path,
-        indptr=graph.indptr,
-        indices=graph.indices,
-        weights=graph.weights,
-        format_version=np.asarray([1], dtype=np.int64),
-    )
+    """Save ``graph`` to a compressed ``.npz`` container at exactly ``path``.
+
+    The archive is written through an open handle: given a bare path,
+    :func:`numpy.savez_compressed` would append ``.npz`` to any other
+    suffix (``g.csrz`` would land at ``g.csrz.npz``).
+    """
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            indptr=graph.indptr,
+            indices=graph.indices,
+            weights=graph.weights,
+            format_version=np.asarray([1], dtype=np.int64),
+        )
 
 
 def load_csrz(path) -> CSRGraph:
-    """Load a graph previously written by :func:`save_csrz`."""
-    with np.load(path) as data:
+    """Load a graph previously written by :func:`save_csrz`.
+
+    A file that is not an intact csrz archive — foreign bytes, a
+    truncated or corrupt zip, missing arrays — raises
+    :class:`GraphFormatError`.
+    """
+    # NumPy leaks the file it opened when the zip is unreadable; owning the
+    # handle here closes it on every path.
+    with open(path, "rb") as fh:
         try:
-            version = int(data["format_version"][0])
-            indptr = data["indptr"]
-            indices = data["indices"]
-            weights = data["weights"]
-        except KeyError as exc:
-            raise GraphFormatError(f"{path}: not a csrz container ({exc})") from exc
+            with np.load(fh) as data:
+                version = int(data["format_version"][0])
+                indptr = data["indptr"]
+                indices = data["indices"]
+                weights = data["weights"]
+        except (ValueError, KeyError, IndexError, EOFError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise GraphFormatError(
+                f"{path}: not a csrz container ({exc})"
+            ) from exc
     if version != 1:
         raise GraphFormatError(f"{path}: unsupported csrz version {version}")
     return CSRGraph(indptr, indices, weights, validate=True)

@@ -2,6 +2,7 @@
 
 import gzip
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -274,3 +275,36 @@ class TestCsrz:
         np.savez(path, foo=np.arange(3))
         with pytest.raises(GraphFormatError, match="not a csrz"):
             load_csrz(path)
+
+    @pytest.mark.parametrize("name", ["g.csrz", "g.npz"])
+    def test_writes_exactly_the_given_path(self, loops_graph, tmp_path, name):
+        path = tmp_path / name
+        save_csrz(loops_graph, path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert load_csrz(path) == loops_graph
+        assert load_csrz(str(path)) == loops_graph
+
+    def test_garbage_bytes(self, tmp_path):
+        path = tmp_path / "g.csrz"
+        path.write_bytes(b"definitely not an archive\n" * 8)
+        with pytest.raises(GraphFormatError, match="not a csrz") as info:
+            load_csrz(path)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_truncated_archive(self, planted, tmp_path):
+        path = tmp_path / "g.csrz"
+        save_csrz(planted, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(GraphFormatError, match="not a csrz") as info:
+            load_csrz(path)
+        assert isinstance(info.value.__cause__, zipfile.BadZipFile)
+
+    def test_missing_key(self, tmp_path):
+        path = tmp_path / "g.npz"
+        np.savez(path, indptr=np.zeros(1, np.int64),
+                 indices=np.zeros(0, np.int64),
+                 format_version=np.asarray([1], dtype=np.int64))
+        with pytest.raises(GraphFormatError, match="weights") as info:
+            load_csrz(path)
+        assert isinstance(info.value.__cause__, KeyError)

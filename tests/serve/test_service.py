@@ -139,6 +139,15 @@ class TestExecution:
         assert "NO_SUCH_DATASET" in record["error"]
         assert service.result(job_id) is None
 
+    def test_corrupt_graph_file_fails_without_retry(self, service, tmp_path):
+        path = tmp_path / "corrupt.csrz"
+        path.write_bytes(b"not a zip archive\n" * 16)
+        job_id = service.submit({"graph": str(path), "max_attempts": 3})
+        record = wait_terminal(service, job_id)
+        assert record["status"] == JobStatus.FAILED
+        assert record["attempts"] == 1  # GraphFormatError is not retried
+        assert "not a csrz container" in record["error"]
+
     def test_priority_orders_execution(self, tmp_path):
         # Submit before starting the control loop so ordering is decided
         # purely by the broker, then verify completion order via timing.
