@@ -190,29 +190,21 @@ class CSRGraph:
                     "adjacency rows must be strictly increasing "
                     "(sorted, duplicate-free neighbor lists)"
                 )
-        # Symmetry of structure and weights: the multiset of (min,max,w)
-        # triples over non-loop entries must pair up exactly.
-        loops = indices == row_of
-        u = row_of[~loops]
-        v = indices[~loops]
-        w = weights[~loops]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        order = np.lexsort((w, hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        if lo.size % 2 != 0:
-            raise GraphStructureError("adjacency is not symmetric")
-        if lo.size:
-            a = slice(0, None, 2)
-            b = slice(1, None, 2)
-            if (
-                np.any(lo[a] != lo[b])
-                or np.any(hi[a] != hi[b])
-                or np.any(w[a] != w[b])
-            ):
-                raise GraphStructureError(
-                    "adjacency (or its weights) is not symmetric"
-                )
+        # Symmetry of structure and weights.  Rows are sorted and
+        # duplicate-free, so the transpose (SciPy's CSR->CSC conversion, a
+        # counting pass in C whose columns come out sorted) is the same CSR
+        # triple iff the graph is symmetric: O(n + E), no sort.
+        import scipy.sparse as sp
+
+        transpose = sp.csr_array((weights, indices, indptr), shape=(n, n)).tocsc()
+        if not (
+            np.array_equal(transpose.indptr, indptr)
+            and np.array_equal(transpose.indices, indices)
+            and np.array_equal(transpose.data, weights)
+        ):
+            raise GraphStructureError(
+                "adjacency (or its weights) is not symmetric"
+            )
 
     # ------------------------------------------------------------------
     # Basic properties

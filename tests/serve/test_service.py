@@ -148,6 +148,17 @@ class TestExecution:
         assert record["attempts"] == 1  # GraphFormatError is not retried
         assert "not a csrz container" in record["error"]
 
+    def test_bad_metis_token_fails_without_retry(self, service, tmp_path):
+        # A token like '1.5' once escaped read_metis as a bare ValueError,
+        # which the pool treats as transient and retries.
+        path = tmp_path / "bad.metis"
+        path.write_text("2 1\n2\n1.5\n")
+        job_id = service.submit({"graph": str(path), "max_attempts": 3})
+        record = wait_terminal(service, job_id)
+        assert record["status"] == JobStatus.FAILED
+        assert record["attempts"] == 1  # GraphFormatError is not retried
+        assert "bad.metis:3: bad token '1.5'" in record["error"]
+
     def test_priority_orders_execution(self, tmp_path):
         # Submit before starting the control loop so ordering is decided
         # purely by the broker, then verify completion order via timing.
