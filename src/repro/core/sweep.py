@@ -30,14 +30,21 @@ Kernels
 ``compute_targets_reference``
     Direct per-vertex Python loop; the executable specification.
 ``compute_targets_vectorized``
-    The production kernel: an e_{v→C} aggregation over all CSR entries of
-    the active rows (no per-vertex Python work).  The aggregation path —
-    seed ``argsort`` vs the O(E) bincount/sparse-matmul paths — lives in
-    :mod:`repro.core.workspace` and is selected automatically; passing a
+    The production kernel, one pass of gather → aggregate → select with
+    no per-vertex Python work: the active rows are a CSR row block cut by
+    SciPy's C row gather from the graph's cached ``row_view``; the
+    e_{v→C} aggregation (:mod:`repro.core.workspace`: ``argsort``,
+    bincount or sparse matmul, picked automatically) returns its pairs as
+    a CSR-style block; the gain and selection tail reads the segment
+    starts off that block's ``pair_indptr``.  Passing a
     :class:`~repro.core.workspace.SweepWorkspace` additionally reuses the
     gather plan and scratch buffers across the iterations of a phase.
+``apply_moves_tracked``
+    The commit, reading the movers' rows from the same row view.
 All paths produce identical targets (differentially tested); the
-vectorized kernel optionally fans chunks out over an execution backend.
+vectorized kernel optionally fans chunks out over an execution backend,
+and SciPy's row gather and SMMP product release the GIL inside each
+chunk.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends import ArrayOps, get_ops, numpy_ops
-from repro.core.workspace import SweepWorkspace, aggregate_pairs, build_plan, gather_rows
+from repro.core.workspace import SweepWorkspace, aggregate_pairs, build_plan
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize, snapshot_kernel
 from repro.obs.trace import get_tracer
@@ -253,19 +260,21 @@ def compute_targets_vectorized(
         plan = build_plan(graph, vertices)
         mode = aggregation if aggregation is not None else "auto"
         ops = get_ops()
-    if plan.owner.size == 0:
+    if plan.block.nnz == 0:
         return cur.copy()
 
-    pair_owner, pair_comm, e, mode_used = aggregate_pairs(
+    pair_indptr, pair_comm, e, mode_used = aggregate_pairs(
         plan, state.comm, n, mode, ops
     )
     if workspace is not None:
         workspace.last_aggregation = mode_used
 
     num_active = vertices.size
-    k_v = plan.device(ops)[3]
+    k_v = plan.device(ops, "degrees")
     cur_d = ops.asarray(cur)
     comm_degree = ops.asarray(state.comm_degree)
+    counts = ops.diff(pair_indptr)
+    pair_owner = ops.repeat(ops.arange(num_active, dtype=ops.int64), counts)
 
     # e_{v→C(v)\{v}} per active vertex (0 when no same-community neighbor).
     # Scratch accumulators follow the graph's weight dtype (float32 graphs
@@ -275,71 +284,56 @@ def compute_targets_vectorized(
         e_cur.fill(0.0)
     else:
         e_cur = ops.zeros(
-            num_active, dtype=_backend_float_dtype(ops, plan.weights.dtype)
+            num_active, dtype=_backend_float_dtype(ops, plan.degrees.dtype)
         )
     own_pairs = pair_comm == ops.take(cur_d, pair_owner)
     ops.put(e_cur, pair_owner[own_pairs], e[own_pairs])
 
-    a_cur_excl = ops.take(comm_degree, cur_d) - k_v
-
     # Eq. 4 gain of every pair, with the exact operation order of the
     # reference kernel (bitwise-identical rounding is what makes the
-    # kernels differentially testable for *equality*).  Own pairs are
-    # masked to −inf instead of filtered out — cheaper than materializing
-    # four candidate-compacted copies, and harmless: an all-own segment
-    # reduces to −inf, which never passes ``best > 0``.
-    penalty = resolution * (
-        2.0 * ops.take(k_v, pair_owner)
-        * (ops.take(a_cur_excl, pair_owner) - ops.take(comm_degree, pair_comm))
-    )
+    # kernels differentially testable for *equality*), evaluated in place.
+    # The only rewrites are exact: ``(2k)[owner]`` for ``2·k[owner]``, the
+    # operands of a commutative ``*``/``+`` swapped, and ``resolution·x``
+    # skipped at resolution 1.  ``comm_degree`` is float64, so the penalty
+    # buffer already has the dtype of the full sum.
+    gain = e - ops.take(e_cur, pair_owner)
     if m_v is None:
-        two_m_sq = (2.0 * m) ** 2
-        gain = (e - ops.take(e_cur, pair_owner)) / m + penalty / two_m_sq
+        gain /= m
     else:
-        m_pair = ops.take(ops.asarray(m_v), pair_owner)
-        tmsq_pair = ops.take(ops.asarray(two_m_sq_v), pair_owner)
-        gain = (e - ops.take(e_cur, pair_owner)) / m_pair + penalty / tmsq_pair
+        gain = gain / ops.take(ops.asarray(m_v), pair_owner)
+    a_cur_excl = ops.take(comm_degree, cur_d) - k_v
+    penalty = ops.take(a_cur_excl, pair_owner)
+    penalty -= ops.take(comm_degree, pair_comm)
+    penalty *= ops.take(2.0 * k_v, pair_owner)
+    if resolution != 1.0:
+        penalty *= resolution
+    if m_v is None:
+        penalty /= (2.0 * m) ** 2
+    else:
+        penalty /= ops.take(ops.asarray(two_m_sq_v), pair_owner)
+    penalty += gain
+    gain = penalty
+    # Own pairs are masked to −inf instead of filtered out: an all-own
+    # segment reduces to −inf, which never passes ``best > 0``.
     ops.masked_fill(gain, own_pairs, -math.inf)
 
-    # Per-owner maximum gain.  Pairs arrive grouped by owner (the
-    # aggregate_pairs ordering guarantee), so contiguous reduceat segment
-    # reductions replace the far slower ``np.maximum.at``/``np.minimum.at``
-    # scatter loops.  ``best_gain`` matches the gain dtype (it can be wider
-    # than the weight dtype — e.g. the bincount path accumulates float64
-    # even on float32 graphs — and equality selection below requires the
-    # exact values).
-    if workspace is not None and ops.is_numpy:
-        best_gain = workspace.fweight("best_gain", num_active,
-                                      dtype=gain.dtype)
-        best_gain.fill(-np.inf)
-        chosen = workspace.i64("chosen", num_active)
-        chosen.fill(n if use_min_label else -1)
+    # Per-owner maximum gain, then among ties at the maximum the minimum
+    # (or, for the ablation, maximum) community label — two segment
+    # reductions over the non-empty segments of ``pair_indptr``.
+    live = ops.flatnonzero(counts)
+    seg_starts = ops.take(pair_indptr, live)
+    best = ops.maximum_reduceat(gain, seg_starts)
+    winners = gain == ops.repeat(best, ops.take(counts, live))
+    no_winner = ops.asarray(n if use_min_label else -1,
+                            dtype=pair_comm.dtype)
+    candidates = ops.where(winners, pair_comm, no_winner)
+    if use_min_label:
+        chosen = ops.minimum_reduceat(candidates, seg_starts)
     else:
-        best_gain = ops.full(num_active, -math.inf, dtype=gain.dtype)
-        chosen = ops.full(num_active, n if use_min_label else -1,
-                          dtype=ops.int64)
-    seg_starts = ops.run_boundaries(pair_owner)
-    if seg_starts.size:
-        ops.put(best_gain, ops.take(pair_owner, seg_starts),
-                ops.maximum_reduceat(gain, seg_starts))
-
-    # Among ties at the maximum, select the minimum (or, for the ablation,
-    # maximum) community label.
-    winners = gain == ops.take(best_gain, pair_owner)
+        chosen = ops.maximum_reduceat(candidates, seg_starts)
+    move = ops.to_numpy(best > 0.0)
     targets = cur.copy()
-    win_owner = pair_owner[winners]
-    win_starts = ops.run_boundaries(win_owner)
-    if win_starts.size:
-        win_comm = pair_comm[winners]
-        if use_min_label:
-            ops.put(chosen, ops.take(win_owner, win_starts),
-                    ops.minimum_reduceat(win_comm, win_starts))
-        else:
-            ops.put(chosen, ops.take(win_owner, win_starts),
-                    ops.maximum_reduceat(win_comm, win_starts))
-    move = ops.to_numpy(best_gain > 0.0)
-    chosen_h = ops.to_numpy(chosen)
-    targets[move] = chosen_h[move]
+    targets[ops.to_numpy(live)[move]] = ops.to_numpy(chosen)[move]
 
     if use_min_label:
         # Singlet rule: both source and destination singlets → only allow a
@@ -423,6 +417,7 @@ def compute_targets(
         chunks = edge_balanced_partition(
             vertices, graph.indptr, backend.num_workers
         )
+        graph.row_view  # build the shared row view once, before fan-out
         results = backend.map(
             lambda chunk: compute_targets_vectorized(
                 graph, state, chunk, use_min_label=use_min_label,
@@ -487,9 +482,12 @@ def apply_moves_tracked(
 ) -> MoveResult:
     """Commit moves like :func:`apply_moves`, returning incremental data.
 
-    The extra cost over :func:`apply_moves` is one gather over the movers'
-    CSR rows — O(edges incident to movers), which shrinks with the frontier
-    as a phase converges.
+    The extra cost over :func:`apply_moves` is one row gather over the
+    movers, ``graph.row_view[movers]`` (SciPy's C ``csr_row_index``, self
+    loops included) — O(edges incident to movers), which shrinks with the
+    frontier as a phase converges.  The gathered neighbors and weights are
+    the movers' CSR entries in storage order, so every compress-sum below
+    adds the same values in the same order as a per-row scan.
 
     ``frontier_out`` — optional (n,) bool mask; when given, the frontier
     (movers + their neighbors) is OR-ed into it and the returned
@@ -521,9 +519,12 @@ def apply_moves_tracked(
     k = graph.degrees[mv]
     n = graph.num_vertices
 
-    positions, owner = gather_rows(graph, mv)
-    nbr = graph.indices[positions]
-    w = graph.weights[positions]
+    rows = graph.row_view[mv]
+    # int64 copy: NumPy fancy-indexes several times faster with intp
+    # arrays than with SciPy's int32 ones, and ``nbr`` indexes four times.
+    nbr = numpy_ops.astype(rows.indices, np.int64)
+    w = rows.data
+    counts = numpy_ops.diff(rows.indptr)
 
     if workspace is not None:
         mover_mask = workspace.zeros_bool("mover_mask", n)
@@ -533,7 +534,7 @@ def apply_moves_tracked(
     both_moved = mover_mask[nbr]
 
     nbr_comm = state.comm[nbr]  # fancy indexing copies: pre-move snapshot
-    own_comm = src[owner]
+    own_comm = numpy_ops.repeat(src, counts)
     intra_entries = nbr_comm == own_comm
     s_before = float(w[intra_entries].sum())
     p_before = float(w[intra_entries & both_moved].sum())
@@ -559,7 +560,7 @@ def apply_moves_tracked(
     delta_degree_sq = float((a_after * a_after - a_before * a_before).sum())
 
     nbr_comm_after = state.comm[nbr]
-    intra_after = nbr_comm_after == dst_comm[owner]
+    intra_after = nbr_comm_after == numpy_ops.repeat(dst_comm, counts)
     s_after = float(w[intra_after].sum())
     p_after = float(w[intra_after & both_moved].sum())
     delta_intra = 2.0 * (s_after - s_before) - (p_after - p_before)

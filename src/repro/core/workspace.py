@@ -1,14 +1,14 @@
 """Reusable sweep workspaces and the e_{v→C} aggregation paths.
 
-The inner loop of every phase repeats the same two structural computations
-over and over:
+The inner loop of every phase repeats two structural computations:
 
-* **row gathering** — expanding the active vertex set into the flat list of
-  its CSR entries (``positions``/``owner``/non-loop mask).  The vertex sets
-  a phase sweeps are fixed for the whole phase (the full vertex range, or
-  the color sets of §5.2), so the gather plan can be built once and reused
-  across every iteration;
-* **neighbor-weight aggregation** — reducing the gathered entries into the
+* **row gathering** — cutting the active vertices' rows out of the graph.
+  A :class:`GatherPlan` is one SciPy CSR row block, ``graph.row_view[
+  vertices]`` (SciPy's C ``csr_row_index`` over the graph's cached
+  :attr:`~repro.graph.csr.CSRGraph.row_view`), with self-loops removed.
+  The workspace caches the plan per swept set, so a set that repeats
+  (full sweeps, the color sets of §5.2) is gathered once per phase;
+* **neighbor-weight aggregation** — reducing the block's entries into the
   per-(vertex, community) totals ``e_{v→C}`` of Eq. 4.
 
 The seed kernel paid an ``O(E log E)`` ``argsort`` for the aggregation on
@@ -22,19 +22,20 @@ between the three automatically:
     count (dense small graphs, shrunken frontiers, coarse phases).
 ``"matmul"``
     The §5.5 pre-aggregation as a sparse matrix product: with ``A`` the
-    (cached) active-rows adjacency and ``S`` the one-hot community
-    indicator, ``A @ S`` *is* the ``e_{v→C}`` table.  SciPy's SMMP kernel
-    runs in ``O(n + E)`` with a dense scatter-accumulator in C — the
-    vectorized equivalent of the paper's per-thread hash accumulation.
+    plan's row block and ``S`` the one-hot community indicator, ``A @ S``
+    *is* the ``e_{v→C}`` table.  SciPy's SMMP kernel runs in ``O(n + E)``
+    with a dense scatter-accumulator in C — the vectorized equivalent of
+    the paper's per-thread hash accumulation.
 ``"sort"``
     The seed ``argsort`` + segmented-reduction path, kept as the fallback
-    (and as the differential-testing baseline).
+    for non-NumPy array backends (and as the differential-testing
+    baseline).
 
-All three produce the same (owner, community, weight) pair set, grouped by
-owner (see :func:`aggregate_pairs` for the exact ordering contract the
-sweep kernel's ``reduceat`` segment reductions rely on), so the kernels
-are exchangeable and differentially tested against
-``compute_targets_reference``.
+All three return the same pair set in one format, a CSR-style block over
+the active vertices (see :func:`aggregate_pairs`), so the sweep kernel's
+gain and selection tail reads segment starts straight off its
+``pair_indptr`` and the kernels are exchangeable and differentially
+tested against ``compute_targets_reference``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from repro.backends import ArrayOps, get_ops, numpy_ops
-from repro.graph.csr import CSRGraph, gather_rows
+from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import snapshot_kernel
 from repro.utils.errors import ValidationError
 
@@ -54,16 +56,10 @@ __all__ = [
     "SweepWorkspace",
     "aggregate_pairs",
     "build_plan",
-    "gather_rows",
 ]
 
 #: Recognized aggregation modes (``"auto"`` resolves per call).
 AGGREGATIONS = ("auto", "sort", "bincount", "matmul")
-
-try:  # SciPy is a declared dependency, but stay importable without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _sparse = None
 
 
 @dataclass
@@ -72,74 +68,92 @@ class GatherPlan:
 
     Everything here depends only on the graph and the vertex set — not on
     the community state — so one plan serves every iteration that sweeps
-    the same set.  Entries are pre-filtered to non-loops (a self-loop moves
-    with its vertex and cancels in Eq. 4).
+    the same set.  The rows are a CSR block cut from the graph's cached
+    :attr:`~repro.graph.csr.CSRGraph.row_view`, with self-loops removed
+    (a self-loop moves with its vertex and cancels in Eq. 4).
     """
 
     #: The vertex set the plan was built for (used to validate cache hits).
     vertices: np.ndarray
-    #: Index into ``vertices`` owning each kept (non-loop) entry.
-    owner: np.ndarray
-    #: Neighbor vertex of each kept entry.
-    dst: np.ndarray
-    #: Weight of each kept entry.
-    weights: np.ndarray
+    #: ``(|vertices|, n)`` ``scipy.sparse.csr_matrix``: row ``i`` holds the
+    #: non-loop entries of ``vertices[i]`` in CSR order.
+    block: object
     #: Weighted degree of each vertex in ``vertices``.
     degrees: np.ndarray
     #: Total CSR entries of the gathered rows (loops included) — the
     #: per-iteration edge-work counter of §5.6.
     num_entries: int
-    #: Lazily built active-rows sparse adjacency for the matmul path.
-    _matrix: "object | None" = field(default=None, repr=False)
-    #: Per-backend device copies of (owner, dst, weights, degrees), keyed
-    #: by backend name — built once per plan, reused every sweep.
+    #: Lazily built :attr:`owner` and :attr:`dst` (the matmul path reads
+    #: the block itself and never needs them).
+    _owner: "np.ndarray | None" = field(default=None, repr=False)
+    _dst: "np.ndarray | None" = field(default=None, repr=False)
+    #: Per-backend device copies of the arrays above, keyed by
+    #: ``(backend name, attribute)`` — built once per plan, reused every
+    #: sweep.
     _device: dict = field(default_factory=dict, repr=False)
 
-    def matrix(self, n: int):
-        """The (|vertices|, n) CSR adjacency of the active rows (cached)."""
-        if self._matrix is None:
-            counts = numpy_ops.bincount(self.owner, minlength=self.vertices.size)
-            indptr = numpy_ops.zeros(self.vertices.size + 1, dtype=np.int64)
-            numpy_ops.cumsum(counts, out=indptr[1:])
-            self._matrix = _sparse.csr_matrix(
-                (self.weights, self.dst, indptr),
-                shape=(self.vertices.size, n),
+    @property
+    def owner(self) -> np.ndarray:
+        """Index into ``vertices`` owning each block entry (int64)."""
+        if self._owner is None:
+            self._owner = numpy_ops.repeat(
+                numpy_ops.arange(self.vertices.size, dtype=np.int64),
+                numpy_ops.diff(self.block.indptr),
             )
-        return self._matrix
+        return self._owner
 
-    def device(self, ops: ArrayOps):
-        """``(owner, dst, weights, degrees)`` on ``ops``' backend (cached)."""
+    @property
+    def dst(self) -> np.ndarray:
+        """Neighbor vertex of each block entry (int64: NumPy indexes with
+        int32 arrays several times slower than with intp ones)."""
+        if self._dst is None:
+            self._dst = numpy_ops.astype(self.block.indices, np.int64)
+        return self._dst
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Weight of each block entry."""
+        return self.block.data
+
+    def device(self, ops: ArrayOps, name: str):
+        """Attribute ``name`` of this plan on ``ops``' backend (cached)."""
+        value = getattr(self, name)
         if ops.is_numpy:
-            return self.owner, self.dst, self.weights, self.degrees
-        cached = self._device.get(ops.name)
+            return value
+        key = (ops.name, name)
+        cached = self._device.get(key)
         if cached is None:
-            cached = tuple(
-                ops.from_numpy(a)
-                for a in (self.owner, self.dst, self.weights, self.degrees)
-            )
-            self._device[ops.name] = cached
+            cached = self._device[key] = ops.from_numpy(value)
         return cached
 
 
 @snapshot_kernel("graph")
 def build_plan(graph: CSRGraph, vertices: np.ndarray) -> GatherPlan:
-    """Build the gather plan for one vertex set (one O(E_active) pass)."""
+    """Build the gather plan for one vertex set: one C row gather, plus
+    one compress when the graph has self-loops."""
     vertices = numpy_ops.asarray(vertices, dtype=np.int64)
-    positions, owner = gather_rows(graph, vertices)
-    num_entries = positions.size
-    dst = graph.indices[positions]
-    non_loop = dst != vertices[owner]
-    if not non_loop.all():
-        owner = owner[non_loop]
-        dst = dst[non_loop]
-        weights = graph.weights[positions[non_loop]]
-    else:
-        weights = graph.weights[positions]
+    block = graph.row_view[vertices]
+    num_entries = block.nnz
+    if graph.num_self_loops:
+        loop = block.indices == numpy_ops.repeat(
+            vertices, numpy_ops.diff(block.indptr)
+        )
+        loops = numpy_ops.flatnonzero(loop)
+        if loops.size:
+            keep = ~loop
+            # Rows are duplicate-free, so each row loses at most its one
+            # loop: the loops before a row start shift that start back.
+            indptr = block.indptr - numpy_ops.astype(
+                numpy_ops.searchsorted(loops, block.indptr),
+                block.indptr.dtype,
+            )
+            block = _sparse.csr_matrix(
+                (block.data[keep], block.indices[keep], indptr),
+                shape=block.shape,
+            )
     return GatherPlan(
         vertices=vertices,
-        owner=owner,
-        dst=dst,
-        weights=weights,
+        block=block,
         degrees=graph.degrees[vertices],
         num_entries=int(num_entries),
     )
@@ -154,16 +168,14 @@ def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int,
     which holds for small/coarse graphs and shrunken frontiers.  Otherwise
     the sparse-matmul path is O(n + E); the sort path is the last resort.
     SciPy's SMMP kernel is host-only, so on non-NumPy backends the matmul
-    path resolves away exactly as it does on SciPy-less installs.
+    path resolves to the sort path.
     """
     if mode != "auto":
         return mode
     key_range = num_active * (n + 1)
     if key_range <= max(1 << 16, 8 * num_pairs):
         return "bincount"
-    if _sparse is not None and ops.is_numpy:
-        return "matmul"
-    return "sort"
+    return "matmul" if ops.is_numpy else "sort"
 
 
 @snapshot_kernel("plan", "comm")
@@ -176,39 +188,21 @@ def aggregate_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Aggregate ``e_{v→C}`` over the plan's entries.
 
-    Returns ``(pair_owner, pair_comm, e, mode_used)`` where the first three
-    arrays are aligned: ``e[i]`` is the total weight from active vertex
-    ``plan.vertices[pair_owner[i]]`` into community ``pair_comm[i]``.
-    The arrays live on ``ops``' backend (NumPy by default).
-
-    Ordering guarantee: pairs are **grouped by owner in ascending order**
-    (bincount/sort additionally sort by community within an owner; matmul
-    does not).  Consumers may rely on the grouping — it is what lets the
-    kernel use contiguous ``reduceat`` segment reductions instead of the
-    much slower ``ufunc.at`` scatter reductions — but not on within-owner
-    community order.
+    Returns ``(pair_indptr, pair_comm, e, mode_used)``, a CSR-style block
+    over the active vertices: the pairs of ``plan.vertices[i]`` are
+    ``pair_indptr[i]:pair_indptr[i+1]``, and ``e[j]`` is the total weight
+    from that vertex into community ``pair_comm[j]``.  Each community
+    appears at most once per vertex (bincount/sort list them in ascending
+    order, matmul in SMMP's order); a vertex without non-loop entries
+    has an empty segment.  The arrays live on ``ops``' backend (NumPy by
+    default).
     """
     if mode not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {mode!r}")
     num_active = plan.vertices.size
-    mode = _resolve_mode(mode, num_active, n, plan.owner.size, ops)
-    if mode == "matmul" and (_sparse is None or not ops.is_numpy):
+    mode = _resolve_mode(mode, num_active, n, plan.block.nnz, ops)
+    if mode == "matmul" and not ops.is_numpy:
         mode = "sort"
-
-    owner, dst, weights, _ = plan.device(ops)
-    comm = ops.asarray(comm)
-
-    # Python-int stride: owner/dst are int64, so the product dtype is
-    # unchanged, and backend arrays accept python scalars where they may
-    # reject NumPy scalar types.
-    if mode == "bincount":
-        key = owner * (n + 1) + ops.take(comm, dst)
-        totals = ops.bincount(key, weights=weights,
-                              minlength=num_active * (n + 1))
-        pairs = ops.flatnonzero(totals)
-        pair_owner = pairs // (n + 1)
-        pair_comm = pairs - pair_owner * (n + 1)
-        return pair_owner, pair_comm, ops.take(totals, pairs), mode
 
     if mode == "matmul":
         indicator = _sparse.csr_matrix(
@@ -216,24 +210,34 @@ def aggregate_pairs(
              numpy_ops.arange(n + 1, dtype=np.int64)),
             shape=(n, n),
         )
-        product = plan.matrix(n) @ indicator
-        pair_owner = numpy_ops.repeat(
-            numpy_ops.arange(num_active, dtype=np.int64),
-            numpy_ops.diff(product.indptr),
-        )
-        return (pair_owner, numpy_ops.astype(product.indices, np.int64),
+        product = plan.block @ indicator
+        return (product.indptr, numpy_ops.astype(product.indices, np.int64),
                 product.data, mode)
 
+    owner = plan.device(ops, "owner")
+    dst = plan.device(ops, "dst")
+    weights = plan.device(ops, "weights")
+    comm = ops.asarray(comm)
+    # Keys are owner·(n+1) + community, so owner i's pairs are the keys in
+    # [i·(n+1), (i+1)·(n+1)).  Python-int stride: owner is int64, so the
+    # product dtype is unchanged, and backend arrays accept python scalars
+    # where they may reject NumPy scalar types.
+    bounds = ops.arange(num_active + 1, dtype=ops.int64) * (n + 1)
+    key = owner * (n + 1) + ops.take(comm, dst)
+    if mode == "bincount":
+        totals = ops.bincount(key, weights=weights,
+                              minlength=num_active * (n + 1))
+        pairs = ops.flatnonzero(totals)
+        return (ops.searchsorted(pairs, bounds), pairs % (n + 1),
+                ops.take(totals, pairs), mode)
+
     # Seed path: sort (owner, community) keys, segment-sum the weights.
-    dst_comm = ops.take(comm, dst)
-    key = owner * (n + 1) + dst_comm
     order = ops.argsort_stable(key)
     key_s = ops.take(key, order)
     starts = ops.run_boundaries(key_s)
     e = ops.add_reduceat(ops.take(weights, order), starts)
-    pair_owner = ops.take(ops.take(owner, order), starts)
-    pair_comm = ops.take(ops.take(dst_comm, order), starts)
-    return pair_owner, pair_comm, e, "sort"
+    pairs = ops.take(key_s, starts)
+    return ops.searchsorted(pairs, bounds), pairs % (n + 1), e, "sort"
 
 
 class SweepWorkspace:
@@ -243,11 +247,12 @@ class SweepWorkspace:
 
     * a :class:`GatherPlan` per swept vertex set, keyed either by array
       identity (the phase loop re-sweeps the same set objects) or by an
-      explicit ``key`` (backends sweeping shared-memory slices whose
-      object identity is not stable) — a keyed hit is verified against the
-      stored vertex array, so changing frontiers can never reuse a stale
-      plan;
-    * full-size scratch arrays (weight-dtype float/``int64``/``bool``) that
+      explicit ``key`` naming the set's slot (a color set, a process
+      worker's chunk) — a keyed hit is verified against the stored
+      vertex array, and a miss replaces the slot's plan, so changing
+      frontiers never reuse a stale plan and hold at most one plan per
+      slot;
+    * full-size scratch arrays (weight-dtype float and ``bool``) that
       the kernels slice per sweep instead of reallocating.
 
     ``array_backend`` selects the :class:`~repro.backends.ArrayOps`
@@ -258,7 +263,8 @@ class SweepWorkspace:
 
     Not thread-safe: concurrent chunk evaluation must either share nothing
     (each worker owns a workspace, as the process backend does) or pass
-    ``workspace=None`` (as the thread backend's chunk map does).
+    ``workspace=None`` (as the thread backend's chunk map does; its
+    chunks share only the graph's read-only row view).
     """
 
     def __init__(self, graph: CSRGraph, aggregation: str = "auto",
@@ -273,7 +279,6 @@ class SweepWorkspace:
         self.last_aggregation: str | None = None
         self._plans: dict[object, GatherPlan] = {}
         self._float: dict[str, np.ndarray] = {}
-        self._i64: dict[str, np.ndarray] = {}
         self._bool: dict[str, np.ndarray] = {}
 
     # -- plan cache -----------------------------------------------------
@@ -320,10 +325,6 @@ class SweepWorkspace:
     def f64(self, name: str, size: int) -> np.ndarray:
         """A float64 scratch view of ``size`` (contents unspecified)."""
         return self._scratch(self._float, name, size, np.float64)
-
-    def i64(self, name: str, size: int) -> np.ndarray:
-        """An int64 scratch view of ``size`` (contents unspecified)."""
-        return self._scratch(self._i64, name, size, np.int64)
 
     def zeros_bool(self, name: str, size: int) -> np.ndarray:
         """A bool scratch view of ``size``; caller must reset set bits."""

@@ -65,7 +65,8 @@ class CSRGraph:
     instead of corrupting shared state across phases.
     """
 
-    __slots__ = ("indptr", "indices", "weights", "_degrees", "_m", "_num_self_loops")
+    __slots__ = ("indptr", "indices", "weights", "_degrees", "_m",
+                 "_num_self_loops", "_row_view")
 
     def __init__(self, indptr, indices, weights=None, *, validate: bool = True):
         indptr = np.ascontiguousarray(indptr, dtype=_INDEX_DTYPE)
@@ -96,6 +97,7 @@ class CSRGraph:
         self._degrees: np.ndarray | None = None
         self._m: float | None = None
         self._num_self_loops: int | None = None
+        self._row_view = None
 
         if validate:
             self._validate()
@@ -324,6 +326,34 @@ class CSRGraph:
         keep = row_of <= self.indices
         return row_of[keep], self.indices[keep], self.weights[keep]
 
+    @property
+    def row_view(self):
+        """The adjacency as a ``scipy.sparse.csr_matrix``, for row gathers.
+
+        ``graph.row_view[vertices]`` is SciPy's C row gather
+        (``csr_row_index``): a ``(len(vertices), n)`` CSR block whose
+        ``indices``/``data`` are the rows of ``vertices``, in that order,
+        entry for entry as stored here (self-loops included), with an
+        ``indptr`` over the rows.  The gather releases the GIL.
+
+        Built on first use and cached: ``data`` shares :attr:`weights`,
+        SciPy keeps its own index copies (int32 wherever they fit), and
+        every array is read-only.  Concurrent first calls may each build
+        a view; they are identical and the last one is kept.  The view is
+        neither pickled nor compared.
+        """
+        view = self._row_view
+        if view is None:
+            import scipy.sparse as sp
+
+            n = self.num_vertices
+            view = sp.csr_matrix((self.weights, self.indices, self.indptr),
+                                 shape=(n, n))
+            view.indices.setflags(write=False)
+            view.indptr.setflags(write=False)
+            self._row_view = view
+        return view
+
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
@@ -379,6 +409,17 @@ class CSRGraph:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.weights, other.weights)
         )
+
+    def __getstate__(self):
+        # The row view is a cache rebuilt on demand; pickling it would
+        # ship a second copy of the index arrays.
+        return None, {slot: getattr(self, slot) for slot in self.__slots__
+                      if slot != "_row_view"}
+
+    def __setstate__(self, state):
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self._row_view = None
 
     def __hash__(self) -> int:  # immutable by convention, but arrays aren't hashable
         return hash((self.num_vertices, self.num_entries, self.total_weight))

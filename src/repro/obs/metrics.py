@@ -30,6 +30,7 @@ name                                  kind       meaning
 ``iteration.active_vertices``         histogram  active-frontier size
 ``coloring.set_size``                 histogram  color-set sizes
 ``worker.chunk_vertices``             histogram  chunk sizes per sweep
+``worker.cached_plans``               histogram  gather plans a worker holds
 ``worker.chunk_imbalance``            gauge      max/mean chunk size
 ====================================  =========  ==============================
 """

@@ -181,6 +181,9 @@ def _worker_main(graph, shm_names, n, worker_id, epoch, task_q, done_q,
             try:
                 # Copy the slice out of shared memory: plan caching compares
                 # (and retains) the vertex array, so it must be stable.
+                # Plans are keyed by chunk slot: a pruned frontier changes
+                # the chunk's extent every iteration, and the rebuilt plan
+                # must replace the stale one, not pile up beside it.
                 verts = active[offset:offset + length].copy()
                 guard = frozen_snapshot(state) if sanitize else nullcontext()
                 with tracer.span("worker_chunk", offset=offset,
@@ -191,9 +194,11 @@ def _worker_main(graph, shm_names, n, worker_id, epoch, task_q, done_q,
                             use_min_label=use_min_label,
                             resolution=resolution,
                             workspace=workspace, aggregation=aggregation,
-                            plan_key=(offset, length),
+                            plan_key=("chunk", chunk_index),
                         )
                 tracer.observe("worker.chunk_vertices", length)
+                tracer.observe("worker.cached_plans",
+                               workspace.num_cached_plans)
                 targets[offset:offset + length] = out
             except Exception:
                 done_q.put((worker_id, epoch, chunk_index, "error"))

@@ -1,0 +1,364 @@
+"""Differential tests: the row-block sweep kernel against its predecessor.
+
+The oracles below are the kernel as it stood before the row-block
+rewrite: a ``gather_rows`` position expansion for the plan, pairs
+returned with an explicit owner per pair, a selection tail built on
+``run_boundaries`` segments and a winners compress, and a commit that
+re-gathers the movers' rows by position.  The rewrite claims bitwise
+identity, so every comparison here is ``==``, never approximate: targets,
+the incremental-modularity deltas, the frontier mask and the committed
+state.  The pinned digests at the end carry the same claim through whole
+``louvain`` runs.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy import sparse
+
+from repro.backends import available_backends
+from repro.core.driver import louvain
+from repro.core.sweep import (
+    SweepState,
+    apply_moves_tracked,
+    compute_targets_vectorized,
+    init_state,
+)
+from repro.core.workspace import SweepWorkspace
+from repro.graph.csr import CSRGraph, gather_rows
+from repro.graph.generators import planted_partition
+from repro.utils.arrays import run_boundaries
+
+MODES = ("bincount", "matmul", "sort")
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the pre-rewrite plan, tail and commit
+# ---------------------------------------------------------------------------
+def oracle_plan(graph, vertices):
+    positions, owner = gather_rows(graph, vertices)
+    dst = graph.indices[positions]
+    non_loop = dst != vertices[owner]
+    return (owner[non_loop], dst[non_loop],
+            graph.weights[positions[non_loop]])
+
+
+def oracle_pairs(graph, vertices, comm, mode):
+    """``(pair_owner, pair_comm, e)``, grouped by owner."""
+    n = graph.num_vertices
+    owner, dst, weights = oracle_plan(graph, vertices)
+    k = vertices.size
+    if mode == "bincount":
+        key = owner * (n + 1) + comm[dst]
+        totals = np.bincount(key, weights=weights, minlength=k * (n + 1))
+        pairs = np.flatnonzero(totals)
+        pair_owner = pairs // (n + 1)
+        return pair_owner, pairs - pair_owner * (n + 1), totals[pairs]
+    if mode == "matmul":
+        counts = np.bincount(owner, minlength=k)
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        block = sparse.csr_matrix((weights, dst, indptr), shape=(k, n))
+        indicator = sparse.csr_matrix(
+            (np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
+        product = block @ indicator
+        pair_owner = np.repeat(np.arange(k), np.diff(product.indptr))
+        return pair_owner, product.indices.astype(np.int64), product.data
+    dst_comm = comm[dst]
+    key = owner * (n + 1) + dst_comm
+    order = np.argsort(key, kind="stable")
+    starts = run_boundaries(key[order])
+    e = np.add.reduceat(weights[order], starts)
+    return owner[order][starts], dst_comm[order][starts], e
+
+
+def oracle_targets(graph, state, vertices, *, mode, use_min_label=True,
+                   resolution=1.0, m_v=None, two_m_sq_v=None):
+    n = graph.num_vertices
+    m = graph.total_weight
+    cur = state.comm[vertices]
+    if vertices.size == 0 or (m_v is None and m <= 0):
+        return cur.copy()
+    if oracle_plan(graph, vertices)[0].size == 0:
+        return cur.copy()
+    pair_owner, pair_comm, e = oracle_pairs(graph, vertices, state.comm,
+                                            mode)
+    num_active = vertices.size
+    k_v = graph.degrees[vertices]
+    comm_degree = state.comm_degree
+    e_cur = np.zeros(num_active, dtype=graph.weights.dtype)
+    own_pairs = pair_comm == cur[pair_owner]
+    e_cur[pair_owner[own_pairs]] = e[own_pairs]
+    a_cur_excl = comm_degree[cur] - k_v
+    penalty = resolution * (
+        2.0 * k_v[pair_owner]
+        * (a_cur_excl[pair_owner] - comm_degree[pair_comm])
+    )
+    if m_v is None:
+        two_m_sq = (2.0 * m) ** 2
+        gain = (e - e_cur[pair_owner]) / m + penalty / two_m_sq
+    else:
+        gain = ((e - e_cur[pair_owner]) / m_v[pair_owner]
+                + penalty / two_m_sq_v[pair_owner])
+    gain[own_pairs] = -math.inf
+    best_gain = np.full(num_active, -math.inf, dtype=gain.dtype)
+    chosen = np.full(num_active, n if use_min_label else -1, dtype=np.int64)
+    seg_starts = run_boundaries(pair_owner)
+    best_gain[pair_owner[seg_starts]] = np.maximum.reduceat(gain, seg_starts)
+    winners = gain == best_gain[pair_owner]
+    targets = cur.copy()
+    win_owner = pair_owner[winners]
+    win_starts = run_boundaries(win_owner)
+    if win_starts.size:
+        reduce = np.minimum if use_min_label else np.maximum
+        chosen[win_owner[win_starts]] = reduce.reduceat(pair_comm[winners],
+                                                        win_starts)
+    move = best_gain > 0.0
+    targets[move] = chosen[move]
+    if use_min_label:
+        size = state.comm_size
+        suppress = ((targets != cur) & (size[cur] == 1)
+                    & (size[targets] == 1) & (targets > cur))
+        targets[suppress] = cur[suppress]
+    return targets
+
+
+def oracle_commit(graph, state, vertices, targets, frontier_out):
+    """Returns ``(delta_intra, delta_degree_sq)``; mutates like the kernel."""
+    cur = state.comm[vertices]
+    moved_mask = targets != cur
+    if not moved_mask.any():
+        return 0.0, 0.0
+    mv = vertices[moved_mask]
+    src = cur[moved_mask]
+    dst_comm = targets[moved_mask]
+    k = graph.degrees[mv]
+    n = graph.num_vertices
+    positions, owner = gather_rows(graph, mv)
+    nbr = graph.indices[positions]
+    w = graph.weights[positions]
+    mover_mask = np.zeros(n, dtype=bool)
+    mover_mask[mv] = True
+    both_moved = mover_mask[nbr]
+    intra_entries = state.comm[nbr] == src[owner]
+    s_before = float(w[intra_entries].sum())
+    p_before = float(w[intra_entries & both_moved].sum())
+    affected_mask = np.zeros(n, dtype=bool)
+    affected_mask[src] = True
+    affected_mask[dst_comm] = True
+    affected = np.flatnonzero(affected_mask)
+    a_before = state.comm_degree[affected].copy()
+    state.comm[mv] = dst_comm
+    np.subtract.at(state.comm_degree, src, k)
+    np.add.at(state.comm_degree, dst_comm, k)
+    np.subtract.at(state.comm_size, src, 1)
+    np.add.at(state.comm_size, dst_comm, 1)
+    a_after = state.comm_degree[affected]
+    delta_degree_sq = float((a_after * a_after - a_before * a_before).sum())
+    intra_after = state.comm[nbr] == dst_comm[owner]
+    s_after = float(w[intra_after].sum())
+    p_after = float(w[intra_after & both_moved].sum())
+    frontier_out[mv] = True
+    frontier_out[nbr] = True
+    return (2.0 * (s_after - s_before) - (p_after - p_before),
+            delta_degree_sq)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis inputs
+# ---------------------------------------------------------------------------
+@st.composite
+def sweep_cases(draw):
+    """A graph with self-loops, isolated vertices and float32 or float64
+    weights; a mid-phase community state; and a frontier subset."""
+    n = draw(st.integers(1, 60))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=8 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    # A few small weights make exact gain ties (the min-label paths)
+    # common; arbitrary ones make the sums' rounding order observable.
+    if draw(st.booleans()):
+        weight = st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0])
+    else:
+        weight = st.floats(0.01, 10.0)
+    weights = draw(st.lists(weight, min_size=len(edges),
+                            max_size=len(edges)))
+    graph = CSRGraph.from_edges(
+        n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), weights)
+    if draw(st.booleans()):
+        graph = CSRGraph(graph.indptr, graph.indices,
+                         graph.weights.astype(np.float32), validate=False)
+    # Few labels make large communities, so the commit's intra sums run
+    # over many entries.
+    num_labels = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, num_labels - 1), min_size=n,
+                           max_size=n))
+    state = init_state(graph, np.asarray(labels, dtype=np.int64))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    frontier = np.flatnonzero(mask).astype(np.int64)
+    if draw(st.booleans()):
+        frontier = np.arange(n, dtype=np.int64)
+    return graph, state, frontier
+
+
+def clone(state):
+    return SweepState(state.comm.copy(), state.comm_degree.copy(),
+                      state.comm_size.copy())
+
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# Kernel against oracle
+# ---------------------------------------------------------------------------
+class TestTargetsMatchOracle:
+    @SETTINGS
+    @given(case=sweep_cases(), mode=st.sampled_from(MODES),
+           use_min_label=st.booleans(),
+           resolution=st.sampled_from([1.0, 0.5, 2.0, 1.3]),
+           with_workspace=st.booleans(),
+           backend=st.sampled_from(available_backends()))
+    def test_targets(self, case, mode, use_min_label, resolution,
+                     with_workspace, backend):
+        """Every installed array backend runs the same tail; off NumPy,
+        the matmul mode resolves to the sort path."""
+        graph, state, frontier = case
+        on_numpy = backend == "numpy"
+        oracle_mode = "sort" if mode == "matmul" and not on_numpy else mode
+        expected = oracle_targets(graph, state, frontier, mode=oracle_mode,
+                                  use_min_label=use_min_label,
+                                  resolution=resolution)
+        workspace = (SweepWorkspace(graph, aggregation=mode,
+                                    array_backend=backend)
+                     if with_workspace or not on_numpy else None)
+        got = compute_targets_vectorized(
+            graph, state, frontier, use_min_label=use_min_label,
+            resolution=resolution, workspace=workspace, aggregation=mode)
+        np.testing.assert_array_equal(got, expected)
+
+    @SETTINGS
+    @given(case=sweep_cases(), mode=st.sampled_from(MODES),
+           use_min_label=st.booleans())
+    def test_batch_normalizer_hook(self, case, mode, use_min_label):
+        """The per-vertex ``m_v``/``(2m)²`` hook of the batched pipeline,
+        with ``m_v`` in the weight dtype as ``louvain_batch`` passes it."""
+        graph, state, frontier = case
+        m = graph.total_weight
+        if m <= 0:
+            return
+        m_v = np.full(frontier.size, m, dtype=graph.weights.dtype)
+        two_m_sq_v = np.full(frontier.size, (2.0 * m) ** 2)
+        expected = oracle_targets(graph, state, frontier, mode=mode,
+                                  use_min_label=use_min_label,
+                                  m_v=m_v, two_m_sq_v=two_m_sq_v)
+        got = compute_targets_vectorized(
+            graph, state, frontier, use_min_label=use_min_label,
+            aggregation=mode, m_v=m_v, two_m_sq_v=two_m_sq_v)
+        np.testing.assert_array_equal(got, expected)
+
+
+class TestCommitMatchesOracle:
+    @SETTINGS
+    @given(case=sweep_cases(), use_min_label=st.booleans(),
+           with_workspace=st.booleans())
+    def test_commit(self, case, use_min_label, with_workspace):
+        graph, state, frontier = case
+        targets = compute_targets_vectorized(graph, state, frontier,
+                                             use_min_label=use_min_label)
+        n = graph.num_vertices
+        oracle_state = clone(state)
+        oracle_mask = np.zeros(n, dtype=bool)
+        intra, degree_sq = oracle_commit(graph, oracle_state, frontier,
+                                         targets, oracle_mask)
+        mask = np.zeros(n, dtype=bool)
+        workspace = SweepWorkspace(graph) if with_workspace else None
+        result = apply_moves_tracked(graph, state, frontier, targets,
+                                     workspace=workspace, frontier_out=mask)
+        assert result.delta_intra == intra
+        assert result.delta_degree_sq == degree_sq
+        np.testing.assert_array_equal(mask, oracle_mask)
+        np.testing.assert_array_equal(state.comm, oracle_state.comm)
+        np.testing.assert_array_equal(state.comm_degree,
+                                      oracle_state.comm_degree)
+        np.testing.assert_array_equal(state.comm_size, oracle_state.comm_size)
+
+
+def weighted_planted(seed, dtype):
+    """A planted graph with arbitrary float weights: unit or integer
+    weights sum exactly in any order, so only these expose a change in
+    the order of a floating-point reduction."""
+    base = planted_partition(20, 50, 0.3, 0.01, seed=seed)
+    u, v, _ = base.edge_arrays()
+    weights = np.random.default_rng(seed).uniform(0.05, 5.0, u.size)
+    graph = CSRGraph.from_edges(base.num_vertices, np.stack([u, v], 1),
+                                weights)
+    return CSRGraph(graph.indptr, graph.indices,
+                    graph.weights.astype(dtype), validate=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pruned_iterations_on_weighted_graph(seed, dtype):
+    """Several sweeps of a pruned phase: every mode's targets, then the
+    commit's deltas and frontier, against the oracles at each step."""
+    graph = weighted_planted(seed, dtype)
+    n = graph.num_vertices
+    state = init_state(graph)
+    oracle_state = clone(state)
+    workspace = SweepWorkspace(graph)
+    frontier = np.arange(n, dtype=np.int64)
+    for _ in range(5):
+        expected = oracle_targets(graph, oracle_state, frontier,
+                                  mode="matmul")
+        for mode in MODES:
+            got = compute_targets_vectorized(graph, state, frontier,
+                                             workspace=workspace,
+                                             aggregation=mode)
+            np.testing.assert_array_equal(got, expected)
+        oracle_mask = np.zeros(n, dtype=bool)
+        intra, degree_sq = oracle_commit(graph, oracle_state, frontier,
+                                         expected, oracle_mask)
+        mask = np.zeros(n, dtype=bool)
+        result = apply_moves_tracked(graph, state, frontier, expected,
+                                     workspace=workspace, frontier_out=mask)
+        assert (result.delta_intra, result.delta_degree_sq) == (intra,
+                                                                degree_sq)
+        np.testing.assert_array_equal(mask, oracle_mask)
+        frontier = np.flatnonzero(mask).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Whole runs, pinned to the pre-rewrite kernel's output
+# ---------------------------------------------------------------------------
+def _digest(array) -> str:
+    data = np.ascontiguousarray(array).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+#: variant → (labels digest, repr(Q), trajectory digest, trajectory length)
+#: of ``louvain(planted_partition(40, 50, 0.3, 1e-3, seed=1), variant)``,
+#: recorded with the kernel the oracles above describe.
+PINNED = {
+    "baseline": ("6c2c2f882bba0bf3", "0.855948387953901",
+                 "4f081a3af9f6646d", 16),
+    "baseline+VF": ("6c2c2f882bba0bf3", "0.855948387953901",
+                    "4f081a3af9f6646d", 16),
+    "baseline+VF+Color": ("6c2c2f882bba0bf3", "0.855948387953901",
+                          "4f081a3af9f6646d", 16),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_pinned_trajectories(variant):
+    graph = planted_partition(40, 50, 0.3, 1e-3, seed=1)
+    result = louvain(graph, variant=variant)
+    trajectory = np.asarray(result.history.modularity_trajectory(),
+                            dtype=np.float64)
+    assert (_digest(result.communities), repr(result.modularity),
+            _digest(trajectory), trajectory.size) == PINNED[variant]

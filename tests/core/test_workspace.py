@@ -29,9 +29,8 @@ from repro.core.workspace import (
     SweepWorkspace,
     aggregate_pairs,
     build_plan,
-    gather_rows,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 from repro.graph.generators import planted_partition, rmat
 from repro.parallel.backends import SerialBackend, ThreadBackend
 from repro.parallel.chunking import edge_balanced_partition
@@ -61,7 +60,8 @@ def mid_state(graph, sweeps=2):
 # ---------------------------------------------------------------------------
 class TestAggregatePairs:
     def pair_dict(self, plan, comm, n, mode):
-        owner, pcomm, e, used = aggregate_pairs(plan, comm, n, mode)
+        indptr, pcomm, e, used = aggregate_pairs(plan, comm, n, mode)
+        owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
         return {(int(o), int(c)): float(x)
                 for o, c, x in zip(owner, pcomm, e)}, used
 
@@ -81,14 +81,20 @@ class TestAggregatePairs:
 
     @pytest.mark.parametrize("mode", CONCRETE)
     def test_pairs_grouped_by_owner(self, mode):
-        """The ordering contract the reduceat kernel relies on."""
+        """The pair block's indptr contract the selection relies on: one
+        segment per active vertex, covering every pair, each community at
+        most once per segment."""
         g = random_graph(11)
         state = mid_state(g, sweeps=1)
         verts = np.arange(g.num_vertices, dtype=np.int64)
-        owner, _, _, _ = aggregate_pairs(
+        indptr, pcomm, e, _ = aggregate_pairs(
             build_plan(g, verts), state.comm, g.num_vertices, mode
         )
-        assert (np.diff(owner) >= 0).all()
+        assert indptr.size == verts.size + 1
+        assert indptr[0] == 0 and indptr[-1] == pcomm.size == e.size
+        assert (np.diff(indptr) >= 0).all()
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            assert np.unique(pcomm[lo:hi]).size == hi - lo
 
     def test_unknown_mode_rejected(self):
         g = random_graph(0)
@@ -219,7 +225,7 @@ class TestPlanCache:
         a = ws.f64("x", 10)
         b = ws.f64("x", 10)
         assert a.base is b.base
-        assert ws.i64("y", 5).dtype == np.int64
+        assert ws.zeros_bool("y", 5).dtype == bool
 
     def test_invalid_aggregation_rejected(self, planted):
         with pytest.raises(ValidationError):

@@ -77,6 +77,20 @@ class TestFullPipeline:
         np.testing.assert_array_equal(serial.communities, proc.communities)
 
 
+    def test_pruned_phase_keeps_one_plan_per_chunk(self, planted):
+        """A pruned frontier changes every chunk's extent each iteration;
+        a worker must replace its stale gather plans, not accumulate one
+        per extent."""
+        result = louvain(planted, variant="baseline", backend="processes",
+                         num_threads=2, trace=True)
+        first = [r.active_vertices for r in result.history.iterations
+                 if r.phase == 0]
+        assert len(set(first)) > 2  # pruning moved the chunk extents
+        hist = result.trace.metrics.snapshot()["histograms"][
+            "worker.cached_plans"]
+        assert 1 <= hist["max"] <= 2  # chunks per sweep = num_threads
+
+
 class TestLifecycle:
     def test_factory(self):
         backend = make_backend("processes", 2)
