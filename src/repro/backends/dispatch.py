@@ -9,8 +9,8 @@ standard does not define but the sweep kernels need:
 * ``add_reduceat`` / ``maximum_reduceat`` / ``minimum_reduceat`` —
   contiguous segment reductions over owner-grouped pair arrays;
 * ``scatter_add`` / ``scatter_sub`` — the commutative commit updates;
-* ``put`` / ``masked_fill`` — fancy-index and boolean-mask assignment
-  (the array-API standard defines ``__setitem__`` only for basic keys);
+* ``put`` — fancy-index assignment (the array-API standard defines
+  ``__setitem__`` only for basic keys);
 * ``argsort_stable``, ``run_boundaries``, ``flatnonzero`` — sorted-run
   segmentation.
 
@@ -152,15 +152,6 @@ class ArrayOps:
 
         self._write_host(out, assign)
 
-    def masked_fill(self, a, mask, value) -> None:
-        """``a[mask] = value`` (boolean-mask scalar fill, in place)."""
-        mask_h = self.to_numpy(mask)
-
-        def assign(buf):
-            buf[mask_h] = value
-
-        self._write_host(a, assign)
-
     def argsort_stable(self, x):
         return self.from_numpy(
             np.argsort(self.to_numpy(x), kind="stable")
@@ -217,9 +208,6 @@ class NumpyOps(ArrayOps):
 
     def put(self, out, idx, vals) -> None:
         out[idx] = vals
-
-    def masked_fill(self, a, mask, value) -> None:
-        a[mask] = value
 
     def argsort_stable(self, x):
         return np.argsort(x, kind="stable")

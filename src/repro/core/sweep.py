@@ -34,9 +34,10 @@ Kernels
     no per-vertex Python work: the active rows are a CSR row block cut by
     SciPy's C row gather from the graph's cached ``row_view``; the
     e_{v→C} aggregation (:mod:`repro.core.workspace`: ``argsort``,
-    bincount or sparse matmul, picked automatically) returns its pairs as
-    a CSR-style block; the gain and selection tail reads the segment
-    starts off that block's ``pair_indptr``.  Passing a
+    bincount or one-pass sparse matmul, picked automatically) returns its
+    pairs as a CSR-style block; the tail evaluates Eq. 4 over that block
+    and runs the selection's segment reductions over the positive non-own
+    pairs only, the sole candidates to win.  Passing a
     :class:`~repro.core.workspace.SweepWorkspace` additionally reuses the
     gather plan and scratch buffers across the iterations of a phase.
 ``apply_moves_tracked``
@@ -49,7 +50,6 @@ chunk.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -273,8 +273,8 @@ def compute_targets_vectorized(
     k_v = plan.device(ops, "degrees")
     cur_d = ops.asarray(cur)
     comm_degree = ops.asarray(state.comm_degree)
-    counts = ops.diff(pair_indptr)
-    pair_owner = ops.repeat(ops.arange(num_active, dtype=ops.int64), counts)
+    pair_owner = ops.repeat(ops.arange(num_active, dtype=ops.int64),
+                            ops.diff(pair_indptr))
 
     # e_{v→C(v)\{v}} per active vertex (0 when no same-community neighbor).
     # Scratch accumulators follow the graph's weight dtype (float32 graphs
@@ -313,27 +313,33 @@ def compute_targets_vectorized(
         penalty /= ops.take(ops.asarray(two_m_sq_v), pair_owner)
     penalty += gain
     gain = penalty
-    # Own pairs are masked to −inf instead of filtered out: an all-own
-    # segment reduces to −inf, which never passes ``best > 0``.
-    ops.masked_fill(gain, own_pairs, -math.inf)
 
+    # Only a pair with a strictly positive gain can win (the reference
+    # moves on ``gain > best_gain`` from 0.0), and the maximum and its tie
+    # set over those pairs equal the ones over all pairs whenever the
+    # maximum is positive — so the segment reductions run over the
+    # positive non-own pairs alone.  Own pairs are dropped explicitly: at
+    # ``resolution ≤ 0`` their gain can be ≥ 0.
+    pos = ops.flatnonzero((gain > 0.0) & ~own_pairs)
+    if pos.shape[0] == 0:
+        return cur.copy()
+    gain = ops.take(gain, pos)
+    owner = ops.take(pair_owner, pos)
     # Per-owner maximum gain, then among ties at the maximum the minimum
-    # (or, for the ablation, maximum) community label — two segment
-    # reductions over the non-empty segments of ``pair_indptr``.
-    live = ops.flatnonzero(counts)
-    seg_starts = ops.take(pair_indptr, live)
+    # (or, for the ablation, maximum) community label.
+    seg_starts = ops.run_boundaries(owner)
+    seg_end = ops.asarray([pos.shape[0]], dtype=seg_starts.dtype)
     best = ops.maximum_reduceat(gain, seg_starts)
-    winners = gain == ops.repeat(best, ops.take(counts, live))
+    winners = gain == ops.repeat(best, ops.diff(seg_starts, append=seg_end))
     no_winner = ops.asarray(n if use_min_label else -1,
                             dtype=pair_comm.dtype)
-    candidates = ops.where(winners, pair_comm, no_winner)
+    candidates = ops.where(winners, ops.take(pair_comm, pos), no_winner)
     if use_min_label:
         chosen = ops.minimum_reduceat(candidates, seg_starts)
     else:
         chosen = ops.maximum_reduceat(candidates, seg_starts)
-    move = ops.to_numpy(best > 0.0)
     targets = cur.copy()
-    targets[ops.to_numpy(live)[move]] = ops.to_numpy(chosen)[move]
+    targets[ops.to_numpy(ops.take(owner, seg_starts))] = ops.to_numpy(chosen)
 
     if use_min_label:
         # Singlet rule: both source and destination singlets → only allow a

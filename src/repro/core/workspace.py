@@ -25,7 +25,10 @@ between the three automatically:
     plan's row block and ``S`` the one-hot community indicator, ``A @ S``
     *is* the ``e_{v→C}`` table.  SciPy's SMMP kernel runs in ``O(n + E)``
     with a dense scatter-accumulator in C — the vectorized equivalent of
-    the paper's per-thread hash accumulation.
+    the paper's per-thread hash accumulation.  It is one call to SciPy's
+    private C ``csr_matmat``, the routine ``@`` runs after a sizing pass
+    this path skips: each row of ``S`` holds one entry, so ``nnz(A)``
+    bounds the product.
 ``"sort"``
     The seed ``argsort`` + segmented-reduction path, kept as the fallback
     for non-NumPy array backends (and as the differential-testing
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as _sparse
+from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 
 from repro.backends import ArrayOps, get_ops, numpy_ops
 from repro.graph.csr import CSRGraph
@@ -178,6 +182,35 @@ def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int,
     return "matmul" if ops.is_numpy else "sort"
 
 
+def _smmp_pairs(block, comm: np.ndarray, n: int):
+    """``A @ S`` as one ``csr_matmat`` call (see :func:`aggregate_pairs`).
+
+    The C routine indexes ``S``'s rows and a dense length-``n``
+    accumulator without bounds checks, so the shapes and the label range
+    are checked here first.
+    """
+    if block.shape[1] != n or comm.shape != (n,):
+        raise ValidationError("comm must label the block's n columns")
+    if n and (comm.min() < 0 or comm.max() >= n):
+        raise ValidationError("community labels must lie in [0, n)")
+    nnz = block.nnz
+    idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    num_rows = block.shape[0]
+    indptr = numpy_ops.empty(num_rows + 1, dtype=idx)
+    indices = numpy_ops.empty(nnz, dtype=idx)
+    data = numpy_ops.empty(nnz, dtype=np.float64)
+    _csr_matmat(
+        num_rows, n,
+        numpy_ops.asarray(block.indptr, dtype=idx),
+        numpy_ops.asarray(block.indices, dtype=idx), block.data,
+        numpy_ops.arange(n + 1, dtype=idx), numpy_ops.astype(comm, idx),
+        numpy_ops.ones(n, dtype=np.float64),
+        indptr, indices, data,
+    )
+    size = int(indptr[-1])
+    return indptr, numpy_ops.astype(indices[:size], np.int64), data[:size]
+
+
 @snapshot_kernel("plan", "comm")
 def aggregate_pairs(
     plan: GatherPlan,
@@ -196,6 +229,18 @@ def aggregate_pairs(
     order, matmul in SMMP's order); a vertex without non-loop entries
     has an empty segment.  The arrays live on ``ops``' backend (NumPy by
     default).
+
+    The matmul path calls SciPy's private C entry point
+    ``scipy.sparse._sparsetools.csr_matmat`` once, with output buffers of
+    ``plan.block.nnz`` entries: row ``j`` of the one-hot indicator ``S``
+    holds only ``1.0`` at column ``comm[j]``, so row ``i`` of the product
+    has at most ``nnz(A_i)`` entries.  It is exact: the generic
+    ``plan.block @ S`` first sizes its output with
+    ``csr_matmat_maxnnz``, then runs this same routine on the same
+    arguments (one index dtype, int32 where it fits; the block's data as
+    stored; float64 output), which accumulates ``sums[comm[j]] += w`` in
+    entry order.  ``tests/core/test_sweep_differential.py`` checks the
+    pairs bitwise against ``@``.
     """
     if mode not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {mode!r}")
@@ -205,14 +250,7 @@ def aggregate_pairs(
         mode = "sort"
 
     if mode == "matmul":
-        indicator = _sparse.csr_matrix(
-            (numpy_ops.ones(n, dtype=np.float64), comm,
-             numpy_ops.arange(n + 1, dtype=np.int64)),
-            shape=(n, n),
-        )
-        product = plan.block @ indicator
-        return (product.indptr, numpy_ops.astype(product.indices, np.int64),
-                product.data, mode)
+        return (*_smmp_pairs(plan.block, comm, n), mode)
 
     owner = plan.device(ops, "owner")
     dst = plan.device(ops, "dst")
@@ -321,10 +359,6 @@ class SweepWorkspace:
         return self._scratch(self._float, name, size,
                              dtype if dtype is not None
                              else self.graph.weights.dtype)
-
-    def f64(self, name: str, size: int) -> np.ndarray:
-        """A float64 scratch view of ``size`` (contents unspecified)."""
-        return self._scratch(self._float, name, size, np.float64)
 
     def zeros_bool(self, name: str, size: int) -> np.ndarray:
         """A bool scratch view of ``size``; caller must reset set bits."""

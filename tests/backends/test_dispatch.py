@@ -101,12 +101,10 @@ class TestGenericShims:
         generic_ops.scatter_sub(out, np.array([1, 1]), np.array([1.0, 1.0]))
         assert np.array_equal(out, [0.0, 3.0, 0.0, 7.0])
 
-    def test_put_and_masked_fill(self, generic_ops):
+    def test_put(self, generic_ops):
         out = np.arange(5, dtype=np.float64)
         generic_ops.put(out, np.array([0, 4]), np.array([-1.0, -2.0]))
         assert np.array_equal(out, [-1.0, 1.0, 2.0, 3.0, -2.0])
-        generic_ops.masked_fill(out, out < 0, 9.0)
-        assert np.array_equal(out, [9.0, 1.0, 2.0, 3.0, 9.0])
 
     def test_argsort_stable_preserves_tie_order(self, generic_ops):
         keys = np.array([1, 0, 1, 0, 1], dtype=np.int64)

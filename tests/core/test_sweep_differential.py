@@ -1,14 +1,17 @@
-"""Differential tests: the row-block sweep kernel against its predecessor.
+"""Differential tests: the row-block sweep kernel against its predecessors.
 
 The oracles below are the kernel as it stood before the row-block
 rewrite: a ``gather_rows`` position expansion for the plan, pairs
 returned with an explicit owner per pair, a selection tail built on
 ``run_boundaries`` segments and a winners compress, and a commit that
-re-gathers the movers' rows by position.  The rewrite claims bitwise
-identity, so every comparison here is ``==``, never approximate: targets,
-the incremental-modularity deltas, the frontier mask and the committed
-state.  The pinned digests at the end carry the same claim through whole
-``louvain`` runs.
+re-gathers the movers' rows by position.  Two more pin the single-pass
+aggregation and the positive-pair selection: SciPy's generic ``A @ S``
+for the product, and the full-segment tail (every pair reduced, own
+pairs masked to −inf) for the selection.  Each rewrite claims bitwise
+identity, so every comparison here is ``==``, never approximate:
+targets, pair arrays, the incremental-modularity deltas, the frontier
+mask and the committed state.  The pinned digests at the end carry the
+same claim through whole ``louvain`` runs.
 """
 
 import hashlib
@@ -27,10 +30,16 @@ from repro.core.sweep import (
     compute_targets_vectorized,
     init_state,
 )
-from repro.core.workspace import SweepWorkspace
+from repro.core.workspace import (
+    GatherPlan,
+    SweepWorkspace,
+    aggregate_pairs,
+    build_plan,
+)
 from repro.graph.csr import CSRGraph, gather_rows
 from repro.graph.generators import planted_partition
 from repro.utils.arrays import run_boundaries
+from repro.utils.errors import ValidationError
 
 MODES = ("bincount", "matmul", "sort")
 
@@ -261,6 +270,234 @@ class TestTargetsMatchOracle:
             graph, state, frontier, use_min_label=use_min_label,
             aggregation=mode, m_v=m_v, two_m_sq_v=two_m_sq_v)
         np.testing.assert_array_equal(got, expected)
+
+
+def indicator_product(block, comm, n):
+    """SciPy's generic two-pass ``A @ S``: the single-pass product's oracle."""
+    indicator = sparse.csr_matrix(
+        (np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
+    return block @ indicator
+
+
+def assert_same_pairs(plan, comm, n):
+    pair_indptr, pair_comm, e, mode = aggregate_pairs(plan, comm, n,
+                                                      "matmul")
+    product = indicator_product(plan.block, comm, n)
+    assert mode == "matmul"
+    np.testing.assert_array_equal(pair_indptr, product.indptr)
+    np.testing.assert_array_equal(pair_comm, product.indices)
+    assert pair_comm.dtype == np.int64
+    assert e.dtype == product.data.dtype == np.float64
+    assert e.tobytes() == product.data.tobytes()
+
+
+class TestSinglePassProduct:
+    """``aggregate_pairs``' matmul mode calls SciPy's private C
+    ``csr_matmat`` once, sized by the block; this pins it to the public
+    ``@`` (and trips if the private signature drifts)."""
+
+    @SETTINGS
+    @given(case=sweep_cases(), data=st.data())
+    def test_matches_generic_product(self, case, data):
+        graph, _, frontier = case
+        n = graph.num_vertices
+        comm = np.asarray(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=n, max_size=n)), dtype=np.int64)
+        assert_same_pairs(build_plan(graph, frontier), comm, n)
+
+    def test_int64_indexed_block(self):
+        """A block whose index arrays are int64 (SciPy's constructor
+        would narrow them, so they are set after construction)."""
+        n = 7
+        block = sparse.csr_matrix(
+            (np.array([0.5, 1.25, 3.0, 2.0, 0.75, 1.5]),
+             np.array([1, 3, 3, 6, 0, 2]), np.array([0, 2, 2, 4, 6])),
+            shape=(4, n))
+        block.indices = block.indices.astype(np.int64)
+        block.indptr = block.indptr.astype(np.int64)
+        plan = GatherPlan(vertices=np.arange(4, dtype=np.int64),
+                          block=block, degrees=np.ones(4),
+                          num_entries=block.nnz)
+        comm = np.array([2, 5, 2, 5, 0, 6, 5], dtype=np.int64)
+        assert_same_pairs(plan, comm, n)
+
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_rejects_labels_outside_the_accumulator(self, bad):
+        """The C routine indexes unchecked, so a label outside [0, n) or
+        a label array of the wrong length is refused before the call."""
+        graph = planted_partition(2, 4, 1.0, 0.0, seed=0)
+        plan = build_plan(graph, np.arange(8, dtype=np.int64))
+        comm = np.zeros(8, dtype=np.int64)
+        comm[3] = bad
+        with pytest.raises(ValidationError):
+            aggregate_pairs(plan, comm, 8, "matmul")
+        with pytest.raises(ValidationError):
+            aggregate_pairs(plan, np.zeros(7, dtype=np.int64), 8, "matmul")
+
+
+def oracle_full_tail(graph, state, vertices, *, mode, use_min_label=True,
+                     resolution=1.0, m_v=None, two_m_sq_v=None):
+    """The selection as it stood before positive-pair selection: the gain
+    of every pair in the kernel's operation order, own pairs masked to
+    −inf, maximum and tie reductions over every non-empty segment.
+
+    Returns ``(targets, any_positive)``, the latter telling whether any
+    non-own pair had a positive gain."""
+    n = graph.num_vertices
+    m = graph.total_weight
+    cur = state.comm[vertices]
+    plan = build_plan(graph, vertices)
+    if plan.block.nnz == 0:
+        return cur.copy(), False
+    pair_indptr, pair_comm, e, _ = aggregate_pairs(plan, state.comm, n, mode)
+    counts = np.diff(pair_indptr)
+    pair_owner = np.repeat(np.arange(vertices.size), counts)
+    k_v = graph.degrees[vertices]
+    comm_degree = state.comm_degree
+    e_cur = np.zeros(vertices.size, dtype=graph.weights.dtype)
+    own_pairs = pair_comm == cur[pair_owner]
+    e_cur[pair_owner[own_pairs]] = e[own_pairs]
+    gain = e - e_cur[pair_owner]
+    if m_v is None:
+        gain /= m
+    else:
+        gain = gain / m_v[pair_owner]
+    penalty = (comm_degree[cur] - k_v)[pair_owner]
+    penalty -= comm_degree[pair_comm]
+    penalty *= (2.0 * k_v)[pair_owner]
+    if resolution != 1.0:
+        penalty *= resolution
+    if m_v is None:
+        penalty /= (2.0 * m) ** 2
+    else:
+        penalty /= two_m_sq_v[pair_owner]
+    gain = penalty + gain
+    gain[own_pairs] = -math.inf
+    live = np.flatnonzero(counts)
+    seg_starts = pair_indptr[live]
+    best = np.maximum.reduceat(gain, seg_starts)
+    winners = gain == np.repeat(best, counts[live])
+    candidates = np.where(winners, pair_comm, n if use_min_label else -1)
+    reduce = np.minimum if use_min_label else np.maximum
+    chosen = reduce.reduceat(candidates, seg_starts)
+    move = best > 0.0
+    targets = cur.copy()
+    targets[live[move]] = chosen[move]
+    if use_min_label:
+        size = state.comm_size
+        suppress = ((targets != cur) & (size[cur] == 1)
+                    & (size[targets] == 1) & (targets > cur))
+        targets[suppress] = cur[suppress]
+    return targets, bool(move.any())
+
+
+SELECTION_RESOLUTIONS = [1.0, 0.7, 0.0, -0.5]
+
+
+class TestPositivePairSelection:
+    """Reducing over the positive non-own pairs only picks the targets
+    the full-segment tail picks — also at ``resolution ≤ 0``, where an
+    own pair's gain can be positive and must still never win."""
+
+    @SETTINGS
+    @given(case=sweep_cases(), mode=st.sampled_from(MODES),
+           use_min_label=st.booleans(),
+           resolution=st.sampled_from(SELECTION_RESOLUTIONS),
+           batch_hook=st.booleans())
+    def test_targets(self, case, mode, use_min_label, resolution,
+                     batch_hook):
+        graph, state, frontier = case
+        m = graph.total_weight
+        if m <= 0:
+            return
+        hook = {}
+        if batch_hook:
+            hook = dict(
+                m_v=np.full(frontier.size, m, dtype=graph.weights.dtype),
+                two_m_sq_v=np.full(frontier.size, (2.0 * m) ** 2))
+        expected, _ = oracle_full_tail(
+            graph, state, frontier, mode=mode, use_min_label=use_min_label,
+            resolution=resolution, **hook)
+        got = compute_targets_vectorized(
+            graph, state, frontier, use_min_label=use_min_label,
+            resolution=resolution, aggregation=mode, **hook)
+        np.testing.assert_array_equal(got, expected)
+
+    @staticmethod
+    def two_cliques():
+        """Two 4-cliques of unit weight joined by one 0.5 bridge, each
+        clique its own community: every pair off the bridge is an own
+        pair, and the bridge pairs have negative gain."""
+        edges = [(u, v) for base in (0, 4)
+                 for u in range(base, base + 4)
+                 for v in range(u + 1, base + 4)] + [(0, 4)]
+        weights = [1.0] * 12 + [0.5]
+        graph = CSRGraph.from_edges(8, np.asarray(edges), weights)
+        return graph, init_state(graph, np.array([0] * 4 + [4] * 4))
+
+    @pytest.mark.parametrize("resolution", SELECTION_RESOLUTIONS)
+    @pytest.mark.parametrize("use_min_label", [True, False])
+    def test_no_positive_pair(self, resolution, use_min_label):
+        graph, state = self.two_cliques()
+        vertices = np.arange(8, dtype=np.int64)
+        expected, any_positive = oracle_full_tail(
+            graph, state, vertices, mode="matmul",
+            use_min_label=use_min_label, resolution=resolution)
+        assert not any_positive
+        got = compute_targets_vectorized(
+            graph, state, vertices, use_min_label=use_min_label,
+            resolution=resolution)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, state.comm)
+
+    @pytest.mark.parametrize("resolution", SELECTION_RESOLUTIONS)
+    def test_all_own_segments(self, resolution):
+        """One community holding every vertex: each segment is own pairs
+        only, positive ones included at ``resolution < 0``."""
+        graph, _ = self.two_cliques()
+        state = init_state(graph, np.zeros(8, dtype=np.int64))
+        vertices = np.arange(8, dtype=np.int64)
+        got = compute_targets_vectorized(graph, state, vertices,
+                                         resolution=resolution)
+        expected, any_positive = oracle_full_tail(
+            graph, state, vertices, mode="sort", resolution=resolution)
+        assert not any_positive
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, state.comm)
+
+    def test_positive_own_pair_never_wins(self):
+        """At ``resolution < 0`` vertex 3's own pair outscores its
+        positive pair into community 3; the own pair must not win."""
+        graph = CSRGraph.from_edges(
+            5, np.array([(0, 2), (1, 2), (1, 4), (2, 3), (3, 4)]),
+            [2.0, 0.5, 2.0, 1.0, 1.0])
+        state = init_state(graph, np.array([3, 2, 1, 1, 3]))
+        vertices = np.arange(5, dtype=np.int64)
+        expected, _ = oracle_full_tail(graph, state, vertices, mode="sort",
+                                       resolution=-0.5)
+        got = compute_targets_vectorized(graph, state, vertices,
+                                         resolution=-0.5)
+        np.testing.assert_array_equal(got, expected)
+        assert got[3] == 3
+
+    def test_exact_ties_at_the_maximum(self):
+        """A vertex with dyadic-weight edges into two singleton
+        communities of equal degree: both gains are the same float, so the
+        label rule alone decides."""
+        graph = CSRGraph.from_edges(
+            3, np.array([(0, 1), (0, 2)]), [0.5, 0.5])
+        state = init_state(graph, np.array([2, 0, 1]))
+        vertices = np.array([0], dtype=np.int64)
+        for use_min_label in (True, False):
+            expected, any_positive = oracle_full_tail(
+                graph, state, vertices, mode="bincount",
+                use_min_label=use_min_label)
+            assert any_positive
+            got = compute_targets_vectorized(
+                graph, state, vertices, use_min_label=use_min_label)
+            np.testing.assert_array_equal(got, expected)
+            assert got[0] == (0 if use_min_label else 1)
 
 
 class TestCommitMatchesOracle:
