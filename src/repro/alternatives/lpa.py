@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.modularity import modularity
 from repro.core.sweep import apply_moves, compute_targets_vectorized, init_state
+from repro.core.workspace import SweepWorkspace
 from repro.graph.csr import CSRGraph
 from repro.utils.arrays import renumber_labels, run_boundaries
 from repro.utils.errors import ValidationError
@@ -192,11 +193,14 @@ def plm_style(
     if n == 0 or graph.total_weight <= 0:
         return LPAResult(state.comm, 0.0, 0, True)
     verts = np.arange(n, dtype=np.int64)
+    # One workspace for the run: its loop-free view and plan are built once.
+    workspace = SweepWorkspace(graph)
     q_prev = -1.0
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
-        targets = compute_targets_vectorized(graph, state, verts)
+        targets = compute_targets_vectorized(graph, state, verts,
+                                             workspace=workspace)
         moved = apply_moves(graph, state, verts, targets)
         q = modularity(graph, state.comm)
         if moved == 0 or (q - q_prev) < threshold * abs(q_prev):

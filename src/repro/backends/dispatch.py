@@ -6,9 +6,10 @@ standard does not define but the sweep kernels need:
 
 * ``bincount`` — the e_{v→C} hash-kernel aggregation and all community
   degree/size bookkeeping;
-* ``add_reduceat`` / ``maximum_reduceat`` / ``minimum_reduceat`` —
-  contiguous segment reductions over owner-grouped pair arrays;
+* ``add_reduceat`` — contiguous segment sums over sorted pair keys;
 * ``scatter_add`` / ``scatter_sub`` — the commutative commit updates;
+* ``scatter_max`` / ``scatter_min`` — the sweep selection's per-owner
+  best gain and tie-break label;
 * ``put`` — fancy-index assignment (the array-API standard defines
   ``__setitem__`` only for basic keys);
 * ``argsort_stable``, ``run_boundaries``, ``flatnonzero`` — sorted-run
@@ -111,14 +112,6 @@ class ArrayOps:
         out = np.add.reduceat(self.to_numpy(values), self.to_numpy(starts))
         return self.from_numpy(out)
 
-    def maximum_reduceat(self, values, starts):
-        out = np.maximum.reduceat(self.to_numpy(values), self.to_numpy(starts))
-        return self.from_numpy(out)
-
-    def minimum_reduceat(self, values, starts):
-        out = np.minimum.reduceat(self.to_numpy(values), self.to_numpy(starts))
-        return self.from_numpy(out)
-
     def _write_host(self, out, mutate) -> None:
         """Run ``mutate`` against a host view of ``out``; write back when
         the host buffer does not share memory with ``out``."""
@@ -142,6 +135,16 @@ class ArrayOps:
         """``out[idx] -= vals`` with repeated-index accumulation."""
         idx_h, vals_h = self.to_numpy(idx), self.to_numpy(vals)
         self._write_host(out, lambda buf: np.subtract.at(buf, idx_h, vals_h))
+
+    def scatter_max(self, out, idx, vals) -> None:
+        """``out[idx] = maximum(out[idx], vals)`` over repeated indices."""
+        idx_h, vals_h = self.to_numpy(idx), self.to_numpy(vals)
+        self._write_host(out, lambda buf: np.maximum.at(buf, idx_h, vals_h))
+
+    def scatter_min(self, out, idx, vals) -> None:
+        """``out[idx] = minimum(out[idx], vals)`` over repeated indices."""
+        idx_h, vals_h = self.to_numpy(idx), self.to_numpy(vals)
+        self._write_host(out, lambda buf: np.minimum.at(buf, idx_h, vals_h))
 
     def put(self, out, idx, vals) -> None:
         """``out[idx] = vals`` (integer fancy-index assignment)."""
@@ -194,17 +197,17 @@ class NumpyOps(ArrayOps):
     def add_reduceat(self, values, starts):
         return np.add.reduceat(values, starts)
 
-    def maximum_reduceat(self, values, starts):
-        return np.maximum.reduceat(values, starts)
-
-    def minimum_reduceat(self, values, starts):
-        return np.minimum.reduceat(values, starts)
-
     def scatter_add(self, out, idx, vals) -> None:
         np.add.at(out, idx, vals)
 
     def scatter_sub(self, out, idx, vals) -> None:
         np.subtract.at(out, idx, vals)
+
+    def scatter_max(self, out, idx, vals) -> None:
+        np.maximum.at(out, idx, vals)
+
+    def scatter_min(self, out, idx, vals) -> None:
+        np.minimum.at(out, idx, vals)
 
     def put(self, out, idx, vals) -> None:
         out[idx] = vals
@@ -214,7 +217,7 @@ class NumpyOps(ArrayOps):
 
 
 class CupyOps(ArrayOps):
-    """CuPy backend: native bincount/scatters, host path for reduceats."""
+    """CuPy backend: native bincount/scatter-adds, host path for the rest."""
 
     def __init__(self, xp, cupy):
         super().__init__("cupy", xp)
@@ -245,7 +248,7 @@ class CupyOps(ArrayOps):
 
 
 class TorchOps(ArrayOps):
-    """Torch backend: native bincount/index_add, host path for reduceats."""
+    """Torch backend: native bincount/index_add, host path for the rest."""
 
     def __init__(self, xp, torch):
         super().__init__("torch", xp)

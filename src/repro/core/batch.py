@@ -466,8 +466,9 @@ def louvain_batch(
                 break
             batch = pack_graphs([w.graph for w in work])
             state = init_state(batch.graph)
-            # One workspace per phase, like the driver: plans and scratch
-            # are graph-bound and each phase re-packs a new union.
+            # One workspace per phase, like the driver: plans, the
+            # loop-free row view and scratch are graph-bound and each phase
+            # re-packs a new union.  Released before the rebuild.
             workspace = SweepWorkspace(
                 batch.graph, aggregation=cfg.aggregation,
                 array_backend=cfg.array_backend,
@@ -486,6 +487,7 @@ def louvain_batch(
                     incremental=cfg.incremental_modularity,
                     sanitize=cfg.sanitize,
                 )
+            del workspace
             if outcome.interrupted and not int(outcome.iterations.max()):
                 # Cut off before any iteration ran: nothing to fold (the
                 # driver likewise drops a record-less interrupted phase).

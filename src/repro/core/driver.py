@@ -428,8 +428,9 @@ def louvain(
             state = init_state(
                 current, warm_start if phase_index == 0 else None
             )
-            # One workspace per phase: gather plans and scratch buffers are
-            # graph-bound, and each phase runs on a new coarsened graph.
+            # One workspace per phase: gather plans, the loop-free row view
+            # and scratch buffers are graph-bound, and each phase runs on a
+            # new coarsened graph.  Released before the rebuild.
             workspace = (
                 SweepWorkspace(current, aggregation=cfg.aggregation,
                                array_backend=cfg.array_backend)
@@ -453,6 +454,7 @@ def louvain(
                     incremental=cfg.incremental_modularity,
                     sanitize=cfg.sanitize,
                 )
+            del workspace
             interrupted = outcome.interrupted
             if interrupted:
                 # Cancel mid-phase: checkpoint the state this phase

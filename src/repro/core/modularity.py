@@ -100,7 +100,8 @@ def intra_community_weight(graph: CSRGraph, communities,
     weights = ops.asarray(graph.weights)
     src_c = ops.take(comm, row_of)
     dst_c = ops.take(comm, dst)
-    return float(ops.sum(weights[src_c == dst_c]))
+    intra = ops.flatnonzero(src_c == dst_c)
+    return float(ops.sum(ops.take(weights, intra)))
 
 
 def modularity(graph: CSRGraph, communities, *, resolution: float = 1.0,

@@ -306,7 +306,8 @@ def run_phase(
         q_prev = q_curr
 
         if prune:
-            active_sets = [s[frontier_mask[s]] for s in sets]
+            active_sets = [s.take(np.flatnonzero(frontier_mask[s]))
+                           for s in sets]
             frontier_mask[:] = False
 
     # Phase boundary: restore the best-seen state if the trajectory ended

@@ -31,21 +31,24 @@ Kernels
     Direct per-vertex Python loop; the executable specification.
 ``compute_targets_vectorized``
     The production kernel, one pass of gather → aggregate → select with
-    no per-vertex Python work: the active rows are a CSR row block cut by
-    SciPy's C row gather from the graph's cached ``row_view``; the
-    e_{v→C} aggregation (:mod:`repro.core.workspace`: ``argsort``,
-    bincount or one-pass sparse matmul, picked automatically) returns its
-    pairs as a CSR-style block; the tail evaluates Eq. 4 over that block
-    and runs the selection's segment reductions over the positive non-own
-    pairs only, the sole candidates to win.  Passing a
-    :class:`~repro.core.workspace.SweepWorkspace` additionally reuses the
-    gather plan and scratch buffers across the iterations of a phase.
+    no per-vertex Python work: the active rows are a CSR row block cut
+    by SciPy's C row gather from the graph's loop-free row view (one per
+    phase, held by the :class:`~repro.core.workspace.SweepWorkspace`,
+    which also caches the block per swept set); the e_{v→C} aggregation
+    (:mod:`repro.core.workspace`: ``argsort``, bincount or one-pass
+    sparse matmul, picked automatically) returns its pairs as a
+    CSR-style block; the tail evaluates Eq. 4 over that block and selects
+    among the positive non-own pairs only, the sole candidates to win:
+    a scatter-max gives each vertex its best gain, a scatter-min (a
+    scatter-max for the ablation) its label tie-break.
 ``apply_moves_tracked``
-    The commit, reading the movers' rows from the same row view.
-All paths produce identical targets (differentially tested); the
-vectorized kernel optionally fans chunks out over an execution backend,
-and SciPy's row gather and SMMP product release the GIL inside each
-chunk.
+    The commit, reading the movers' rows from the graph's row view.
+Every compress is an index compress, ``x.take(flatnonzero(mask))``: the
+same elements in the same order as ``x[mask]``, without the boolean
+compress's mispredicted branch per element.  All paths produce identical
+targets (differentially tested); the vectorized kernel optionally fans
+chunks out over an execution backend, and SciPy's row gather and SMMP
+product release the GIL inside each chunk.
 """
 
 from __future__ import annotations
@@ -56,7 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends import ArrayOps, get_ops, numpy_ops
-from repro.core.workspace import SweepWorkspace, aggregate_pairs, build_plan
+from repro.core.workspace import (
+    SweepWorkspace,
+    aggregate_pairs,
+    build_plan,
+    loop_free_rows,
+)
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize, snapshot_kernel
 from repro.obs.trace import get_tracer
@@ -212,6 +220,7 @@ def compute_targets_vectorized(
     plan_key: object = None,
     m_v: "np.ndarray | None" = None,
     two_m_sq_v: "np.ndarray | None" = None,
+    rows=None,
 ) -> np.ndarray:
     """Vectorized implementation of lines 9–14 of Algorithm 1.
 
@@ -240,6 +249,10 @@ def compute_targets_vectorized(
         makes the elementwise gain bitwise identical to the scalar path
         run per graph.  All entries must be positive (zero-weight graphs
         are the caller's early-out).
+    rows:
+        Without a workspace, the graph's
+        :func:`~repro.core.workspace.loop_free_rows` to gather from
+        (built per call when omitted); a workspace brings its own.
     """
     vertices = numpy_ops.asarray(vertices, dtype=np.int64)
     m = graph.total_weight
@@ -257,7 +270,7 @@ def compute_targets_vectorized(
         mode = aggregation if aggregation is not None else workspace.aggregation
         ops = workspace.ops
     else:
-        plan = build_plan(graph, vertices)
+        plan = build_plan(graph, vertices, rows)
         mode = aggregation if aggregation is not None else "auto"
         ops = get_ops()
     if plan.block.nnz == 0:
@@ -277,17 +290,13 @@ def compute_targets_vectorized(
                             ops.diff(pair_indptr))
 
     # e_{v→C(v)\{v}} per active vertex (0 when no same-community neighbor).
-    # Scratch accumulators follow the graph's weight dtype (float32 graphs
-    # halve the accumulator traffic; float64 graphs are bit-unchanged).
-    if workspace is not None and ops.is_numpy:
-        e_cur = workspace.fweight("e_cur", num_active)
-        e_cur.fill(0.0)
-    else:
-        e_cur = ops.zeros(
-            num_active, dtype=_backend_float_dtype(ops, plan.degrees.dtype)
-        )
-    own_pairs = pair_comm == ops.take(cur_d, pair_owner)
-    ops.put(e_cur, pair_owner[own_pairs], e[own_pairs])
+    # The accumulator follows the graph's weight dtype (float32 graphs
+    # halve its traffic; float64 graphs are bit-unchanged).
+    e_cur = ops.zeros(
+        num_active, dtype=_backend_float_dtype(ops, plan.degrees.dtype)
+    )
+    own = ops.flatnonzero(pair_comm == ops.take(cur_d, pair_owner))
+    ops.put(e_cur, ops.take(pair_owner, own), ops.take(e, own))
 
     # Eq. 4 gain of every pair, with the exact operation order of the
     # reference kernel (bitwise-identical rounding is what makes the
@@ -317,42 +326,43 @@ def compute_targets_vectorized(
     # Only a pair with a strictly positive gain can win (the reference
     # moves on ``gain > best_gain`` from 0.0), and the maximum and its tie
     # set over those pairs equal the ones over all pairs whenever the
-    # maximum is positive — so the segment reductions run over the
-    # positive non-own pairs alone.  Own pairs are dropped explicitly: at
-    # ``resolution ≤ 0`` their gain can be ≥ 0.
-    pos = ops.flatnonzero((gain > 0.0) & ~own_pairs)
+    # maximum is positive — so the selection reads the positive non-own
+    # pairs alone.  Own pairs are dropped explicitly, by zeroing their
+    # gain: at ``resolution ≤ 0`` it can be ≥ 0.  On a first sweep from
+    # singletons every pair qualifies, and the pair arrays are used as
+    # they are.
+    ops.put(gain, own, ops.asarray(0.0, dtype=gain.dtype))
+    pos = ops.flatnonzero(gain > 0.0)
     if pos.shape[0] == 0:
         return cur.copy()
-    gain = ops.take(gain, pos)
-    owner = ops.take(pair_owner, pos)
-    # Per-owner maximum gain, then among ties at the maximum the minimum
-    # (or, for the ablation, maximum) community label.
-    seg_starts = ops.run_boundaries(owner)
-    seg_end = ops.asarray([pos.shape[0]], dtype=seg_starts.dtype)
-    best = ops.maximum_reduceat(gain, seg_starts)
-    winners = gain == ops.repeat(best, ops.diff(seg_starts, append=seg_end))
-    no_winner = ops.asarray(n if use_min_label else -1,
-                            dtype=pair_comm.dtype)
-    candidates = ops.where(winners, ops.take(pair_comm, pos), no_winner)
-    if use_min_label:
-        chosen = ops.minimum_reduceat(candidates, seg_starts)
-    else:
-        chosen = ops.maximum_reduceat(candidates, seg_starts)
-    targets = cur.copy()
-    targets[ops.to_numpy(ops.take(owner, seg_starts))] = ops.to_numpy(chosen)
+    if pos.shape[0] < gain.shape[0]:
+        gain = ops.take(gain, pos)
+        pair_owner = ops.take(pair_owner, pos)
+        pair_comm = ops.take(pair_comm, pos)
+    # Per-owner maximum gain by scatter-max from 0.0, so an owner without
+    # a positive pair keeps 0.0 and no other does; then, among the pairs
+    # at their owner's maximum, the minimum (or, for the ablation,
+    # maximum) community label by scatter-min (-max) from a sentinel.
+    best = ops.zeros(num_active, dtype=gain.dtype)
+    ops.scatter_max(best, pair_owner, gain)
+    win = ops.flatnonzero(gain == ops.take(best, pair_owner))
+    chosen = ops.full(num_active, n if use_min_label else -1,
+                      dtype=pair_comm.dtype)
+    pick = ops.scatter_min if use_min_label else ops.scatter_max
+    pick(chosen, ops.take(pair_owner, win), ops.take(pair_comm, win))
+    movers = ops.to_numpy(ops.flatnonzero(best))
+    dest = ops.to_numpy(chosen).take(movers)
 
     if use_min_label:
         # Singlet rule: both source and destination singlets → only allow a
-        # move toward a smaller label.
+        # move toward a smaller label.  Every winner is a non-own pair, so
+        # the movers are exactly the vertices whose target differs.
+        src = cur.take(movers)
         size = state.comm_size
-        moving = targets != cur
-        suppress = (
-            moving
-            & (size[cur] == 1)
-            & (size[targets] == 1)
-            & (targets > cur)
-        )
-        targets[suppress] = cur[suppress]
+        stay = (size.take(src) == 1) & (size.take(dest) == 1) & (dest > src)
+        numpy_ops.copyto(dest, src, where=stay)
+    targets = cur.copy()
+    targets[movers] = dest
     return targets
 
 
@@ -376,10 +386,12 @@ def compute_targets(
     With a multi-worker backend the active set is split into edge-balanced
     chunks evaluated concurrently; because every chunk reads the same
     snapshot the concatenated result is identical to a single-chunk run.
-    The workspace is only consulted on the single-threaded path — chunk
+    The workspace's plans serve only the single-threaded path — chunk
     workers either own a private workspace (process backend) or run
-    workspace-free (thread backend), since scratch buffers are not
-    shareable between concurrent chunks.
+    workspace-free (thread backend), since plan caches are not
+    shareable between concurrent chunks.  Its read-only loop-free
+    :attr:`~repro.core.workspace.SweepWorkspace.rows` is shared: thread
+    chunks and the process backend's in-process fallback gather from it.
 
     ``sanitize`` (``None`` = the ``REPRO_SANITIZE`` default) freezes the
     state arrays for the duration of the target computation: a stray
@@ -413,6 +425,7 @@ def compute_targets(
                 graph, state, vertices,
                 use_min_label=use_min_label, resolution=resolution,
                 aggregation=aggregation, sanitize=sanitize,
+                rows=workspace.rows if workspace is not None else None,
             )
         if backend is None or backend.num_workers <= 1 or vertices.size < 2:
             return compute_targets_vectorized(
@@ -423,11 +436,13 @@ def compute_targets(
         chunks = edge_balanced_partition(
             vertices, graph.indptr, backend.num_workers
         )
-        graph.row_view  # build the shared row view once, before fan-out
+        # Every chunk gathers from the same read-only loop-free view.
+        rows = (workspace.rows if workspace is not None
+                else loop_free_rows(graph))
         results = backend.map(
             lambda chunk: compute_targets_vectorized(
                 graph, state, chunk, use_min_label=use_min_label,
-                resolution=resolution, aggregation=aggregation,
+                resolution=resolution, aggregation=aggregation, rows=rows,
             ),
             chunks,
         )
@@ -477,6 +492,19 @@ def _empty_move_result() -> MoveResult:
     return _NO_MOVES
 
 
+def _intra_sums(w: np.ndarray, both_moved: np.ndarray,
+                intra: np.ndarray) -> tuple[float, float]:
+    """``(S, P)`` of :func:`apply_moves_tracked`: the weight of the
+    ``intra`` entries, and of those whose neighbor also moved.  Index
+    compresses keep the entries of ``w[intra]`` and ``w[intra &
+    both_moved]`` in the same order, so the sums are the same bits; the
+    second compress runs over the intra entries only."""
+    i_idx = numpy_ops.flatnonzero(intra)
+    wi = w.take(i_idx)
+    both = numpy_ops.flatnonzero(both_moved.take(i_idx))
+    return float(wi.sum()), float(wi.take(both).sum())
+
+
 def apply_moves_tracked(
     graph: CSRGraph,
     state: SweepState,
@@ -492,8 +520,11 @@ def apply_moves_tracked(
     movers, ``graph.row_view[movers]`` (SciPy's C ``csr_row_index``, self
     loops included) — O(edges incident to movers), which shrinks with the
     frontier as a phase converges.  The gathered neighbors and weights are
-    the movers' CSR entries in storage order, so every compress-sum below
-    adds the same values in the same order as a per-row scan.
+    the movers' CSR entries in storage order.  ``S`` and ``P`` below are
+    sums over ``w.take(idx)`` for index compresses ``idx``; the ``P``
+    compress runs over the already-compressed intra entries.  Each sum
+    adds the same values in the same order as the boolean compress
+    ``w[mask]`` and as a per-row scan, so the deltas are the same bits.
 
     ``frontier_out`` — optional (n,) bool mask; when given, the frontier
     (movers + their neighbors) is OR-ed into it and the returned
@@ -516,12 +547,12 @@ def apply_moves_tracked(
     if vertices.shape != targets.shape:
         raise ValidationError("vertices and targets must be aligned")
     cur = state.comm[vertices]
-    moved_mask = targets != cur
-    if not moved_mask.any():
+    idx = numpy_ops.flatnonzero(targets != cur)
+    if idx.size == 0:
         return _empty_move_result()
-    mv = vertices[moved_mask]
-    src = cur[moved_mask]
-    dst_comm = targets[moved_mask]
+    mv = vertices.take(idx)
+    src = cur.take(idx)
+    dst_comm = targets.take(idx)
     k = graph.degrees[mv]
     n = graph.num_vertices
 
@@ -539,11 +570,10 @@ def apply_moves_tracked(
     mover_mask[mv] = True
     both_moved = mover_mask[nbr]
 
-    nbr_comm = state.comm[nbr]  # fancy indexing copies: pre-move snapshot
-    own_comm = numpy_ops.repeat(src, counts)
-    intra_entries = nbr_comm == own_comm
-    s_before = float(w[intra_entries].sum())
-    p_before = float(w[intra_entries & both_moved].sum())
+    # Fancy indexing copies: ``nbr_comm`` is the pre-move snapshot.
+    nbr_comm = state.comm[nbr]
+    s_before, p_before = _intra_sums(
+        w, both_moved, nbr_comm == numpy_ops.repeat(src, counts))
 
     # Commit, snapshotting the affected community degrees around the
     # update.  Affected labels are collected through an O(n) mask rather
@@ -565,10 +595,8 @@ def apply_moves_tracked(
     a_after = state.comm_degree[affected]
     delta_degree_sq = float((a_after * a_after - a_before * a_before).sum())
 
-    nbr_comm_after = state.comm[nbr]
-    intra_after = nbr_comm_after == numpy_ops.repeat(dst_comm, counts)
-    s_after = float(w[intra_after].sum())
-    p_after = float(w[intra_after & both_moved].sum())
+    s_after, p_after = _intra_sums(
+        w, both_moved, state.comm[nbr] == numpy_ops.repeat(dst_comm, counts))
     delta_intra = 2.0 * (s_after - s_before) - (p_after - p_before)
 
     mover_mask[mv] = False  # reset the scratch for the next call
@@ -600,19 +628,19 @@ def apply_moves(
     if vertices.shape != targets.shape:
         raise ValidationError("vertices and targets must be aligned")
     cur = state.comm[vertices]
-    moved = targets != cur
-    if not moved.any():
+    idx = numpy_ops.flatnonzero(targets != cur)
+    if idx.size == 0:
         return 0
-    mv = vertices[moved]
-    src = cur[moved]
-    dst = targets[moved]
+    mv = vertices.take(idx)
+    src = cur.take(idx)
+    dst = targets.take(idx)
     k = graph.degrees[mv]
     state.comm[mv] = dst
     numpy_ops.scatter_sub(state.comm_degree, src, k)
     numpy_ops.scatter_add(state.comm_degree, dst, k)
     numpy_ops.scatter_sub(state.comm_size, src, 1)
     numpy_ops.scatter_add(state.comm_size, dst, 1)
-    return int(moved.sum())
+    return int(idx.size)
 
 
 def sweep(

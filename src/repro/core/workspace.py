@@ -3,11 +3,14 @@
 The inner loop of every phase repeats two structural computations:
 
 * **row gathering** — cutting the active vertices' rows out of the graph.
-  A :class:`GatherPlan` is one SciPy CSR row block, ``graph.row_view[
-  vertices]`` (SciPy's C ``csr_row_index`` over the graph's cached
-  :attr:`~repro.graph.csr.CSRGraph.row_view`), with self-loops removed.
-  The workspace caches the plan per swept set, so a set that repeats
-  (full sweeps, the color sets of §5.2) is gathered once per phase;
+  A :class:`GatherPlan` is one SciPy CSR row block, ``rows[vertices]``
+  (SciPy's C ``csr_row_index``), where ``rows`` is the graph's row view
+  without self-loops (:func:`loop_free_rows`).  The workspace builds
+  that view once per phase — for a loop-free graph it is the graph's
+  cached :attr:`~repro.graph.csr.CSRGraph.row_view` itself, otherwise
+  one O(E) compress — so no plan strips loops.  It also caches the plan
+  per swept set, so a set that repeats (full sweeps, the color sets of
+  §5.2) is gathered once per phase;
 * **neighbor-weight aggregation** — reducing the block's entries into the
   per-(vertex, community) totals ``e_{v→C}`` of Eq. 4.
 
@@ -35,10 +38,10 @@ between the three automatically:
     baseline).
 
 All three return the same pair set in one format, a CSR-style block over
-the active vertices (see :func:`aggregate_pairs`), so the sweep kernel's
-gain and selection tail reads segment starts straight off its
-``pair_indptr`` and the kernels are exchangeable and differentially
-tested against ``compute_targets_reference``.
+the active vertices (see :func:`aggregate_pairs`), from whose
+``pair_indptr`` the sweep kernel's gain and selection tail expands each
+pair's owner; the kernels are exchangeable and differentially tested
+against ``compute_targets_reference``.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "SweepWorkspace",
     "aggregate_pairs",
     "build_plan",
+    "loop_free_rows",
 ]
 
 #: Recognized aggregation modes (``"auto"`` resolves per call).
@@ -72,9 +76,9 @@ class GatherPlan:
 
     Everything here depends only on the graph and the vertex set — not on
     the community state — so one plan serves every iteration that sweeps
-    the same set.  The rows are a CSR block cut from the graph's cached
-    :attr:`~repro.graph.csr.CSRGraph.row_view`, with self-loops removed
-    (a self-loop moves with its vertex and cancels in Eq. 4).
+    the same set.  The rows are a CSR block cut from the graph's
+    :func:`loop_free_rows` (a self-loop moves with its vertex and cancels
+    in Eq. 4).
     """
 
     #: The vertex set the plan was built for (used to validate cache hits).
@@ -131,35 +135,60 @@ class GatherPlan:
         return cached
 
 
+def loop_free_rows(graph: CSRGraph):
+    """``graph.row_view`` without its self-loops: the rows plans gather from.
+
+    A self-loop moves with its vertex and cancels in Eq. 4, so the sweep
+    never reads one.  A loop-free graph's view is ``graph.row_view``
+    itself; otherwise one O(E) index compress builds a read-only copy.
+    The copy belongs to its caller — a :class:`SweepWorkspace` holds it
+    for one phase — and is never cached on the graph, which a result can
+    keep alive long after its phase.
+    """
+    view = graph.row_view
+    if not graph.num_self_loops:
+        return view
+    # Rows are duplicate-free, so each row loses at most its one loop:
+    # the loops before a row start shift that start back.
+    loop = view.indices == graph.row_of_entry()
+    loops = numpy_ops.flatnonzero(loop)
+    keep = numpy_ops.flatnonzero(~loop)
+    indptr = view.indptr - numpy_ops.astype(
+        numpy_ops.searchsorted(loops, view.indptr), view.indptr.dtype)
+    rows = _sparse.csr_matrix(
+        (view.data.take(keep), view.indices.take(keep), indptr),
+        shape=view.shape)
+    for arr in (rows.data, rows.indices, rows.indptr):
+        arr.setflags(write=False)
+    return rows
+
+
 @snapshot_kernel("graph")
-def build_plan(graph: CSRGraph, vertices: np.ndarray) -> GatherPlan:
-    """Build the gather plan for one vertex set: one C row gather, plus
-    one compress when the graph has self-loops."""
+def build_plan(graph: CSRGraph, vertices: np.ndarray,
+               rows=None) -> GatherPlan:
+    """Build the gather plan for one vertex set: one C row gather from
+    ``rows``, the graph's :func:`loop_free_rows` (built here when not
+    given — callers that plan repeatedly pass the one they hold).  The
+    full vertex range needs no gather: its block is ``rows`` itself, so
+    a full sweep holds no second copy of the adjacency."""
     vertices = numpy_ops.asarray(vertices, dtype=np.int64)
-    block = graph.row_view[vertices]
+    if rows is None:
+        rows = loop_free_rows(graph)
+    n = graph.num_vertices
+    if vertices.size == n and numpy_ops.array_equal(
+            vertices, numpy_ops.arange(n, dtype=np.int64)):
+        block = rows
+    else:
+        block = rows[vertices]
     num_entries = block.nnz
     if graph.num_self_loops:
-        loop = block.indices == numpy_ops.repeat(
-            vertices, numpy_ops.diff(block.indptr)
-        )
-        loops = numpy_ops.flatnonzero(loop)
-        if loops.size:
-            keep = ~loop
-            # Rows are duplicate-free, so each row loses at most its one
-            # loop: the loops before a row start shift that start back.
-            indptr = block.indptr - numpy_ops.astype(
-                numpy_ops.searchsorted(loops, block.indptr),
-                block.indptr.dtype,
-            )
-            block = _sparse.csr_matrix(
-                (block.data[keep], block.indices[keep], indptr),
-                shape=block.shape,
-            )
+        indptr = graph.indptr
+        num_entries = int((indptr[vertices + 1] - indptr[vertices]).sum())
     return GatherPlan(
         vertices=vertices,
         block=block,
         degrees=graph.degrees[vertices],
-        num_entries=int(num_entries),
+        num_entries=num_entries,
     )
 
 
@@ -290,8 +319,11 @@ class SweepWorkspace:
       vertex array, and a miss replaces the slot's plan, so changing
       frontiers never reuse a stale plan and hold at most one plan per
       slot;
-    * full-size scratch arrays (weight-dtype float and ``bool``) that
-      the kernels slice per sweep instead of reallocating.
+    * the graph's loop-free row view, :attr:`rows`, built once (every
+      plan is one row gather from it; the thread backend's chunks share
+      it read-only);
+    * full-size ``bool`` scratch masks that the commit slices per sweep
+      instead of reallocating.
 
     ``array_backend`` selects the :class:`~repro.backends.ArrayOps`
     namespace the sweep kernels run against (``None`` follows
@@ -302,7 +334,7 @@ class SweepWorkspace:
     Not thread-safe: concurrent chunk evaluation must either share nothing
     (each worker owns a workspace, as the process backend does) or pass
     ``workspace=None`` (as the thread backend's chunk map does; its
-    chunks share only the graph's read-only row view).
+    chunks share only :attr:`rows`, which is read-only).
     """
 
     def __init__(self, graph: CSRGraph, aggregation: str = "auto",
@@ -315,8 +347,9 @@ class SweepWorkspace:
         self.ops: ArrayOps = get_ops(array_backend)
         #: Aggregation path the most recent sweep actually used.
         self.last_aggregation: str | None = None
+        #: The graph's :func:`loop_free_rows`, for this workspace's life.
+        self.rows = loop_free_rows(graph)
         self._plans: dict[object, GatherPlan] = {}
-        self._float: dict[str, np.ndarray] = {}
         self._bool: dict[str, np.ndarray] = {}
 
     # -- plan cache -----------------------------------------------------
@@ -330,7 +363,7 @@ class SweepWorkspace:
                 and numpy_ops.array_equal(entry.vertices, vertices))
         ):
             return entry
-        entry = build_plan(self.graph, vertices)
+        entry = build_plan(self.graph, vertices, self.rows)
         self._plans[cache_key] = entry
         return entry
 
@@ -339,27 +372,6 @@ class SweepWorkspace:
         return len(self._plans)
 
     # -- scratch buffers ------------------------------------------------
-    def _scratch(self, pool: dict, name: str, size: int, dtype) -> np.ndarray:
-        buf = pool.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = numpy_ops.empty(max(size, self.graph.num_vertices),
-                                  dtype=dtype)
-            pool[name] = buf
-        return buf[:size]
-
-    def fweight(self, name: str, size: int, dtype=None) -> np.ndarray:
-        """A float scratch view of ``size`` in the graph's weight dtype.
-
-        Following the weight dtype (rather than hardcoding float64) halves
-        the accumulator memory traffic on float32 graphs; float64 graphs
-        get the exact pre-existing float64 buffers.  ``dtype`` overrides
-        the weight dtype for accumulators that must be wider (a dtype
-        change reallocates the named buffer).
-        """
-        return self._scratch(self._float, name, size,
-                             dtype if dtype is not None
-                             else self.graph.weights.dtype)
-
     def zeros_bool(self, name: str, size: int) -> np.ndarray:
         """A bool scratch view of ``size``; caller must reset set bits."""
         buf = self._bool.get(name)

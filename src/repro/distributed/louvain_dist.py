@@ -45,6 +45,7 @@ from repro.core.history import ConvergenceHistory, IterationRecord, PhaseRecord
 from repro.core.phase import state_modularity
 from repro.core.sweep import SweepState, compute_targets_vectorized, init_state
 from repro.core.vf import vf_merge
+from repro.core.workspace import SweepWorkspace
 from repro.distributed.cluster import NetworkModel, SimCluster, TrafficLog
 from repro.distributed.partition import RankPartition, partition_vertices
 from repro.graph.coarsen import coarsen
@@ -79,17 +80,22 @@ def _rank_local_targets(
     *,
     use_min_label: bool,
     resolution: float,
+    workspace: SweepWorkspace,
+    plan_key: object,
 ) -> np.ndarray:
     """Superstep 1 kernel: Eq. 4 targets for one rank's owned vertices.
 
     Reads only the replicated snapshot (labels from the previous halo
     exchange, replicated community degrees) — the BSP equivalent of the
     shared-memory Jacobi sweep, and the region the snapshot sanitizer
-    freezes when ``sanitize`` is on.
+    freezes when ``sanitize`` is on.  ``workspace`` is the phase's; a
+    rank's share of a vertex set is the same every iteration, so its plan
+    (under ``plan_key``) is gathered once per phase.
     """
     return compute_targets_vectorized(
         graph, state, active,
         use_min_label=use_min_label, resolution=resolution,
+        workspace=workspace, plan_key=plan_key,
     )
 
 
@@ -153,6 +159,7 @@ def _distributed_phase(
     in_rank = [np.zeros(n, dtype=bool) for _ in range(p)]
     for r in range(p):
         in_rank[r][part.owned[r]] = True
+    workspace = SweepWorkspace(graph)
 
     q_prev = -1.0
     start_q = state_modularity(graph, state, resolution=resolution)
@@ -190,13 +197,15 @@ def _distributed_phase(
             )
             with compute_span, guard:
                 for r in range(p):
-                    active = vertex_set[in_rank[r][vertex_set]]
+                    active = vertex_set.take(
+                        np.flatnonzero(in_rank[r][vertex_set]))
                     active_by_rank.append(active)
                     targets_by_rank.append(
                         _rank_local_targets(
                             graph, state, active,
                             use_min_label=use_min_label,
                             resolution=resolution,
+                            workspace=workspace, plan_key=(r, set_index),
                         )
                     )
             # -- apply local moves, build deltas ---------------------------
@@ -210,9 +219,9 @@ def _distributed_phase(
                 active = active_by_rank[r]
                 targets = targets_by_rank[r]
                 cur = state.comm[active]
-                moved_mask = targets != cur
-                mv, src, dst = (active[moved_mask], cur[moved_mask],
-                                targets[moved_mask])
+                moved = np.flatnonzero(targets != cur)
+                mv, src, dst = (active.take(moved), cur.take(moved),
+                                targets.take(moved))
                 if mv.size:
                     state.comm[mv] = dst
                 # Sparse (index, delta) pairs: -k at the source community,

@@ -123,11 +123,14 @@ def coarsen(graph: CSRGraph, communities,
     inter_edges = int(ops.count_nonzero(~intra_entries)) // 2
     lock_ops = intra_edges + 2 * inter_edges
 
-    intra_weight = (
-        float(ops.sum(w[intra_entries & ~self_entries])) / 2.0
-        + float(ops.sum(w[self_entries]))
-    )
-    inter_weight = float(ops.sum(w[~intra_entries])) / 2.0
+    # Index compresses keep the same entries in the same order as boolean
+    # ones, so the sums are the same bits.
+    def weight_where(mask) -> float:
+        return float(ops.sum(ops.take(w, ops.flatnonzero(mask))))
+
+    intra_weight = (weight_where(intra_entries & ~self_entries) / 2.0
+                    + weight_where(self_entries))
+    inter_weight = weight_where(~intra_entries) / 2.0
 
     # --- Aggregate directed entries by (src community, dst community) -----
     key = src_c * k + dst_c

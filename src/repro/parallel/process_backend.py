@@ -614,12 +614,15 @@ class ProcessBackend(ExecutionBackend):
     def sweep_targets(self, graph, state, vertices, *, use_min_label: bool,
                       resolution: float,
                       aggregation: "str | None" = None,
-                      sanitize: bool = False) -> np.ndarray:
+                      sanitize: bool = False, rows=None) -> np.ndarray:
         """Compute one sweep's targets on the worker pool.
 
         ``sanitize`` is forwarded to the workers, which freeze their own
         shared-memory state views around the kernel call (the caller's
-        freeze covers only the caller's process).
+        freeze covers only the caller's process).  ``rows`` is the
+        caller's :func:`~repro.core.workspace.loop_free_rows` of
+        ``graph``, which the in-process paths gather from; the workers
+        hold their own.
         """
         if (self._degraded or self.num_workers <= 1
                 or vertices.size < 2):
@@ -628,7 +631,7 @@ class ProcessBackend(ExecutionBackend):
             return compute_targets_vectorized(
                 graph, state, vertices,
                 use_min_label=use_min_label, resolution=resolution,
-                aggregation=aggregation,
+                aggregation=aggregation, rows=rows,
             )
         key = id(graph)
         executor = self._executors.get(key)
@@ -657,7 +660,7 @@ class ProcessBackend(ExecutionBackend):
             return compute_targets_vectorized(
                 graph, state, vertices,
                 use_min_label=use_min_label, resolution=resolution,
-                aggregation=aggregation,
+                aggregation=aggregation, rows=rows,
             )
 
     def map(self, fn, items):

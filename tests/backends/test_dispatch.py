@@ -89,9 +89,22 @@ class TestGenericShims:
     def test_reduceats(self, generic_ops):
         vals = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
         starts = np.array([0, 2, 5], dtype=np.int64)
-        for op in ("add_reduceat", "maximum_reduceat", "minimum_reduceat"):
-            assert np.array_equal(getattr(generic_ops, op)(vals, starts),
-                                  getattr(numpy_ops, op)(vals, starts))
+        assert np.array_equal(generic_ops.add_reduceat(vals, starts),
+                              numpy_ops.add_reduceat(vals, starts))
+
+    @pytest.mark.parametrize("op", ["scatter_max", "scatter_min"])
+    def test_scatter_extrema_match_numpy(self, generic_ops, op):
+        """Repeated indices reduce; untouched slots keep their start."""
+        idx = np.array([1, 3, 1, 1, 0], dtype=np.int64)
+        vals = np.array([2.5, -1.0, 7.0, 0.5, 4.0])
+        want = np.full(5, 1.0)
+        getattr(numpy_ops, op)(want, idx, vals)
+        got = np.full(5, 1.0)
+        getattr(generic_ops, op)(got, idx, vals)
+        assert np.array_equal(got, want)
+        expect = ([4.0, 7.0, 1.0, 1.0, 1.0] if op == "scatter_max"
+                  else [1.0, 0.5, 1.0, -1.0, 1.0])
+        assert np.array_equal(want, expect)
 
     def test_scatter_add_accumulates_duplicates(self, generic_ops):
         out = np.zeros(4)

@@ -37,11 +37,17 @@ class TestFloat32Plumbing:
                            g.weights.astype(np.int64), validate=False)
         assert coerced.weights.dtype == np.float64
 
-    def test_workspace_scratch_follows_weight_dtype(self):
+    def test_workspace_rows_follow_weight_dtype(self):
+        """The loop-free row view and the plans cut from it keep float32
+        weights, with or without self-loops to strip."""
         g32 = as_float32(two_cliques_bridge(4))
-        ws = SweepWorkspace(g32)
-        assert ws.fweight("probe", 8).dtype == np.float32
-        assert ws.fweight("probe64", 8, dtype=np.float64).dtype == np.float64
+        looped = as_float32(CSRGraph.from_edges(
+            3, np.array([(0, 0), (0, 1), (1, 2)]), [1.0, 2.0, 3.0]))
+        for graph in (g32, looped):
+            ws = SweepWorkspace(graph)
+            assert ws.rows.dtype == np.float32
+            plan = ws.plan(np.arange(graph.num_vertices, dtype=np.int64))
+            assert plan.block.dtype == np.float32
 
     def test_kernel_accepts_float32_state(self):
         g32 = as_float32(planted_partition(3, 6, 0.6, 0.1, seed=2))

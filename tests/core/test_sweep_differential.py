@@ -4,18 +4,20 @@ The oracles below are the kernel as it stood before the row-block
 rewrite: a ``gather_rows`` position expansion for the plan, pairs
 returned with an explicit owner per pair, a selection tail built on
 ``run_boundaries`` segments and a winners compress, and a commit that
-re-gathers the movers' rows by position.  Two more pin the single-pass
-aggregation and the positive-pair selection: SciPy's generic ``A @ S``
-for the product, and the full-segment tail (every pair reduced, own
-pairs masked to −inf) for the selection.  Each rewrite claims bitwise
+re-gathers the movers' rows by position.  More pin the later rewrites:
+SciPy's generic ``A @ S`` for the single-pass product; the full-segment
+tail (every pair reduced, own pairs masked to −inf) for the positive-
+pair scatter selection; and the per-plan self-loop strip for plans cut
+from the workspace's loop-free row view.  Each rewrite claims bitwise
 identity, so every comparison here is ``==``, never approximate:
-targets, pair arrays, the incremental-modularity deltas, the frontier
-mask and the committed state.  The pinned digests at the end carry the
-same claim through whole ``louvain`` runs.
+targets, pair arrays, plan blocks, the incremental-modularity deltas,
+the frontier mask and the committed state.  The pinned digests at the
+end carry the same claim through whole ``louvain`` runs.
 """
 
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -30,14 +32,17 @@ from repro.core.sweep import (
     compute_targets_vectorized,
     init_state,
 )
+from repro.core.vf import vf_merge
 from repro.core.workspace import (
     GatherPlan,
     SweepWorkspace,
     aggregate_pairs,
     build_plan,
+    loop_free_rows,
 )
+from repro.graph.coarsen import coarsen
 from repro.graph.csr import CSRGraph, gather_rows
-from repro.graph.generators import planted_partition
+from repro.graph.generators import planted_partition, rmat
 from repro.utils.arrays import run_boundaries
 from repro.utils.errors import ValidationError
 
@@ -396,9 +401,11 @@ SELECTION_RESOLUTIONS = [1.0, 0.7, 0.0, -0.5]
 
 
 class TestPositivePairSelection:
-    """Reducing over the positive non-own pairs only picks the targets
-    the full-segment tail picks — also at ``resolution ≤ 0``, where an
-    own pair's gain can be positive and must still never win."""
+    """Scatter-max and scatter-min (-max) over the positive non-own pairs
+    pick the targets the full-segment tail picks — also at ``resolution
+    ≤ 0``, where an own pair's gain can be positive and must still never
+    win, and on a first sweep from singletons, where every pair is
+    positive and the kernel skips the compress."""
 
     @SETTINGS
     @given(case=sweep_cases(), mode=st.sampled_from(MODES),
@@ -481,6 +488,24 @@ class TestPositivePairSelection:
         np.testing.assert_array_equal(got, expected)
         assert got[3] == 3
 
+    @SETTINGS
+    @given(case=sweep_cases(), use_min_label=st.booleans(),
+           resolution=st.sampled_from([1.0, 0.7, 0.0]))
+    def test_first_sweep_from_singletons(self, case, use_min_label,
+                                         resolution):
+        graph, _, _ = case
+        if graph.total_weight <= 0:
+            return
+        state = init_state(graph)
+        vertices = np.arange(graph.num_vertices, dtype=np.int64)
+        expected, _ = oracle_full_tail(
+            graph, state, vertices, mode="matmul",
+            use_min_label=use_min_label, resolution=resolution)
+        got = compute_targets_vectorized(
+            graph, state, vertices, use_min_label=use_min_label,
+            resolution=resolution)
+        np.testing.assert_array_equal(got, expected)
+
     def test_exact_ties_at_the_maximum(self):
         """A vertex with dyadic-weight edges into two singleton
         communities of equal degree: both gains are the same float, so the
@@ -524,6 +549,165 @@ class TestCommitMatchesOracle:
         np.testing.assert_array_equal(state.comm_degree,
                                       oracle_state.comm_degree)
         np.testing.assert_array_equal(state.comm_size, oracle_state.comm_size)
+
+
+def oracle_strip_plan(graph, vertices):
+    """The plan as built before the per-phase loop-free view: a row
+    gather from ``graph.row_view``, then a compress of the block's loops
+    per plan.  Returns ``(block, num_entries)``."""
+    block = graph.row_view[vertices]
+    num_entries = block.nnz
+    loop = block.indices == np.repeat(vertices, np.diff(block.indptr))
+    loops = np.flatnonzero(loop)
+    if loops.size:
+        indptr = block.indptr - np.searchsorted(
+            loops, block.indptr).astype(block.indptr.dtype)
+        block = sparse.csr_matrix(
+            (block.data[~loop], block.indices[~loop], indptr),
+            shape=block.shape)
+    return block, num_entries
+
+
+def assert_same_block(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def looped_graphs():
+    """Graphs with self-loops: a VF graph, a coarse graph, one with rows
+    holding only their loop, and one with every vertex looped."""
+    base = rmat(9, 4, seed=0)
+    vf = vf_merge(base).graph
+    planted = planted_partition(6, 8, 0.6, 0.05, seed=3)
+    coarse = coarsen(planted, np.arange(planted.num_vertices) // 3).graph
+    only_loop = CSRGraph.from_edges(
+        5, np.array([(0, 0), (1, 2), (2, 2), (3, 3), (1, 4)]),
+        [2.5, 1.0, 0.75, 3.0, 1.25])
+    n = 12
+    ring = [(v, (v + 1) % n) for v in range(n)] + [(v, v) for v in range(n)]
+    every = CSRGraph.from_edges(
+        n, np.array(ring), np.random.default_rng(5).uniform(0.1, 4.0, 2 * n))
+    return {"vf": vf, "coarse": coarse, "only_loop": only_loop,
+            "every_vertex": every}
+
+
+class TestLoopFreePlan:
+    """Plans cut from the workspace's loop-free row view equal the
+    per-plan strip, loops still counted in ``num_entries``."""
+
+    @pytest.mark.parametrize("name", sorted(looped_graphs()))
+    def test_matches_per_plan_strip(self, name):
+        graph = looped_graphs()[name]
+        assert graph.num_self_loops > 0
+        n = graph.num_vertices
+        rng = np.random.default_rng(11)
+        workspace = SweepWorkspace(graph)
+        sets = [np.arange(n, dtype=np.int64),
+                np.flatnonzero(rng.random(n) < 0.4).astype(np.int64),
+                np.array([n - 1, 0], dtype=np.int64),
+                np.zeros(0, dtype=np.int64)]
+        for vertices in sets:
+            want, num_entries = oracle_strip_plan(graph, vertices)
+            for plan in (build_plan(graph, vertices),
+                         workspace.plan(vertices)):
+                assert_same_block(plan.block, want)
+                assert plan.num_entries == num_entries
+        # The full vertex range is the view itself, not a gathered copy.
+        assert workspace.plan(sets[0]).block is workspace.rows
+
+    @SETTINGS
+    @given(case=sweep_cases())
+    def test_random_graphs_and_frontiers(self, case):
+        graph, _, frontier = case
+        want, num_entries = oracle_strip_plan(graph, frontier)
+        plan = SweepWorkspace(graph).plan(frontier)
+        assert_same_block(plan.block, want)
+        assert plan.num_entries == num_entries
+
+    def test_view_is_the_row_view_without_loops(self):
+        graph = planted_partition(4, 6, 0.5, 0.1, seed=2)
+        assert graph.num_self_loops == 0
+        assert loop_free_rows(graph) is graph.row_view
+        looped = looped_graphs()["only_loop"]
+        rows = SweepWorkspace(looped).rows
+        assert rows is not looped.row_view
+        assert rows.nnz == looped.num_entries - looped.num_self_loops
+        for arr in (rows.data, rows.indices, rows.indptr):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_looped_graph_sweeps(self, mode):
+        """Targets and commits on a weighted looped graph, workspace or
+        not, against the oracles through several pruned sweeps."""
+        graph = looped_graphs()["coarse"]
+        n = graph.num_vertices
+        state = init_state(graph)
+        oracle_state = clone(state)
+        workspace = SweepWorkspace(graph)
+        frontier = np.arange(n, dtype=np.int64)
+        for _ in range(4):
+            expected = oracle_targets(graph, oracle_state, frontier,
+                                      mode=mode)
+            for ws in (workspace, None):
+                got = compute_targets_vectorized(
+                    graph, state, frontier, workspace=ws, aggregation=mode)
+                np.testing.assert_array_equal(got, expected)
+            oracle_mask = np.zeros(n, dtype=bool)
+            want = oracle_commit(graph, oracle_state, frontier, expected,
+                                 oracle_mask)
+            mask = np.zeros(n, dtype=bool)
+            result = apply_moves_tracked(graph, state, frontier, expected,
+                                         workspace=workspace,
+                                         frontier_out=mask)
+            assert (result.delta_intra, result.delta_degree_sq) == want
+            np.testing.assert_array_equal(mask, oracle_mask)
+            frontier = np.flatnonzero(mask).astype(np.int64)
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through attributes, slots and
+    containers (arrays are leaves)."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (
+                np.ndarray, str, bytes, int, float, bool, type,
+                types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return out
+
+
+def test_result_holds_no_loop_free_copy():
+    """The loop-free view lives in the phase's workspace only: after a
+    ``baseline+VF`` run, every sparse matrix reachable from the result is
+    some reachable graph's own row view (loops included)."""
+    graph = rmat(9, 4, seed=0)
+    result = louvain(graph, variant="baseline+VF")
+    objects = reachable(result)
+    graphs = [o for o in objects if isinstance(o, CSRGraph)]
+    assert result.vf.graph.num_self_loops > 0
+    assert any(g is result.vf.graph for g in graphs)
+    views = {id(g._row_view) for g in graphs if g._row_view is not None}
+    for obj in objects:
+        if sparse.issparse(obj):
+            assert id(obj) in views
+    for g in graphs:
+        assert g._row_view is None or g._row_view.nnz == g.num_entries
 
 
 def weighted_planted(seed, dtype):
