@@ -188,14 +188,11 @@ def provenance(repo_root):
 
     ``commit`` is the repository HEAD the numbers were measured at
     (``"unknown"`` outside a git checkout), ``date`` the UTC measurement
-    day, and ``backend`` the array backend the kernels dispatched to —
-    without these a committed JSON cannot be compared across PRs or
-    across NumPy/CuPy/torch runs.
+    day, and ``backend`` the array library, always ``"numpy"`` — without
+    these a committed JSON cannot be compared across PRs.
     """
     import datetime
     import subprocess
-
-    from repro.backends import backend_default
 
     try:
         commit = subprocess.run(
@@ -205,7 +202,7 @@ def provenance(repo_root):
     except (subprocess.CalledProcessError, OSError):
         commit = "unknown"
     date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    return {"commit": commit, "date": date, "backend": backend_default()}
+    return {"commit": commit, "date": date, "backend": "numpy"}
 
 
 def time_phase(graph, repeats=3, traced=False, **kwargs):

@@ -523,7 +523,7 @@ def _cmd_robust_resume(args) -> int:
     from repro.core.config import LouvainConfig
     from repro.core.driver import louvain
     from repro.robust.checkpoint import load_checkpoint
-    from repro.utils.errors import CheckpointError
+    from repro.utils.errors import CheckpointError, ValidationError
 
     try:
         ckpt = load_checkpoint(args.ckpt)
@@ -542,7 +542,10 @@ def _cmd_robust_resume(args) -> int:
     # is to finish the interrupted work.
     fields["fault_plan"] = None
     fields["budget"] = None
-    config = LouvainConfig(**fields)
+    try:
+        config = LouvainConfig.from_dict(fields)
+    except ValidationError as exc:
+        raise SystemExit(f"error: {args.ckpt}: {exc}")
     try:
         result = louvain(graph, config, resume=args.ckpt,
                          checkpoint=args.checkpoint)

@@ -39,7 +39,7 @@ serial execution backend (``use_vf=False``, ``use_coloring=False``,
 ``kernel="vectorized"``, ``backend="serial"``, no fault injection, no
 warm starts / checkpointing).  Everything else — pruning, incremental
 modularity, aggregation modes, min-label ablation, resolution, budgets,
-tracing, sanitizing, float32 graphs, array backends — composes.
+tracing, sanitizing, float32 graphs — composes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import numpy_ops
 from repro.core.config import LouvainConfig
 from repro.core.modularity import intra_community_weight, modularity
 from repro.core.sweep import (
@@ -132,7 +131,7 @@ def _block_state_modularity(sub: CSRGraph, comm_local, comm_degree_block,
         return 0.0
     intra = intra_community_weight(sub, comm_local)
     return intra / (2.0 * m) - resolution * float(
-        numpy_ops.square(comm_degree_block / (2.0 * m)).sum()
+        np.square(comm_degree_block / (2.0 * m)).sum()
     )
 
 
@@ -192,7 +191,7 @@ def run_phase_batch(
     # tracking baseline; also the non-incremental recount inputs).
     intra = [intra_community_weight(subs[g], comm_local(g)) for g in range(B)]
     degree_sq = [
-        float(numpy_ops.square(state.comm_degree[batch.block(g)]).sum())
+        float(np.square(state.comm_degree[batch.block(g)]).sum())
         for g in range(B)
     ]
 
@@ -211,10 +210,10 @@ def run_phase_batch(
     def q_of(g: int) -> float:
         return incremental_q(g) if incremental else exact_q(g)
 
-    converged = numpy_ops.zeros(B, dtype=bool)
-    iters = numpy_ops.zeros(B, dtype=np.int64)
-    start_q = numpy_ops.zeros(B, dtype=np.float64)
-    end_q = numpy_ops.zeros(B, dtype=np.float64)
+    converged = np.zeros(B, dtype=bool)
+    iters = np.zeros(B, dtype=np.int64)
+    start_q = np.zeros(B, dtype=np.float64)
+    end_q = np.zeros(B, dtype=np.float64)
     q_prev = [-1.0] * B          # Algorithm 1 line 4, per graph.
     last_q = [0.0] * B
     best_q = [0.0] * B
@@ -232,10 +231,10 @@ def run_phase_batch(
     best_size = state.comm_size.copy()
 
     active: list[np.ndarray] = [
-        numpy_ops.arange(offs[g], offs[g] + sizes[g], dtype=np.int64)
+        np.arange(offs[g], offs[g] + sizes[g], dtype=np.int64)
         for g in range(B)
     ]
-    frontier_mask = numpy_ops.zeros(n, dtype=bool) if track else None
+    frontier_mask = np.zeros(n, dtype=bool) if track else None
     moved = [0] * B
     interrupted = False
     tracer = get_tracer()
@@ -249,7 +248,7 @@ def run_phase_batch(
             interrupted = True
             break
         full_sweep = [active[g].size == sizes[g] for g in range(B)]
-        packed = numpy_ops.concat([active[g] for g in running])
+        packed = np.concat([active[g] for g in running])
         with tracer.span("batch_iteration", phase=phase_index,
                          iteration=iteration, graphs=len(running),
                          vertices=int(packed.size)):
@@ -267,7 +266,7 @@ def run_phase_batch(
                 )
             # Commit block by block: the per-graph tracked deltas are the
             # standalone run's contiguous-slice reductions, bitwise.
-            bounds = numpy_ops.searchsorted(packed, batch.vertex_offsets)
+            bounds = np.searchsorted(packed, batch.vertex_offsets)
             for g in running:
                 lo, hi = int(bounds[g]), int(bounds[g + 1])
                 if track:
@@ -301,7 +300,7 @@ def run_phase_batch(
                 if prune and not full_sweep[g]:
                     # Pruned fixed point: verify with one full sweep
                     # before declaring this graph converged.
-                    active[g] = numpy_ops.arange(
+                    active[g] = np.arange(
                         offs[g], offs[g] + sizes[g], dtype=np.int64
                     )
                     q_prev[g] = q_curr
@@ -315,7 +314,7 @@ def run_phase_batch(
             if prune:
                 vs = batch.block(g)
                 active[g] = (
-                    numpy_ops.flatnonzero(frontier_mask[vs]) + offs[g]
+                    np.flatnonzero(frontier_mask[vs]) + offs[g]
                 )
         if prune:
             frontier_mask[:] = False
@@ -375,7 +374,7 @@ class _Running:
     def __init__(self, index: int, graph: CSRGraph):
         self.index = index
         self.graph = graph
-        self.mapping = numpy_ops.arange(graph.num_vertices, dtype=np.int64)
+        self.mapping = np.arange(graph.num_vertices, dtype=np.int64)
         self.phases = 0
         self.iterations = 0
 
@@ -432,7 +431,7 @@ def louvain_batch(
     for i, g in enumerate(graphs):
         if g.num_vertices == 0:
             results[i] = BatchGraphResult(
-                communities=numpy_ops.zeros(0, dtype=np.int64),
+                communities=np.zeros(0, dtype=np.int64),
                 modularity=0.0, num_phases=0, total_iterations=0,
                 converged=True,
             )
@@ -440,7 +439,7 @@ def louvain_batch(
             # Edgeless: the standalone run sweeps once (nobody moves) and
             # stops on the no-progress rule after one phase.
             results[i] = BatchGraphResult(
-                communities=numpy_ops.arange(g.num_vertices, dtype=np.int64),
+                communities=np.arange(g.num_vertices, dtype=np.int64),
                 modularity=0.0, num_phases=1, total_iterations=1,
                 converged=True,
             )
@@ -455,7 +454,6 @@ def louvain_batch(
         obs.enter_context(controller.signal_scope())
         obs.enter_context(tracer.span(
             "louvain_batch", cat="pipeline", graphs=len(work),
-            backend=cfg.array_backend,
         ))
         for phase_index in range(cfg.max_phases):
             if not work:
@@ -469,10 +467,8 @@ def louvain_batch(
             # One workspace per phase, like the driver: plans, the
             # loop-free row view and scratch are graph-bound and each phase
             # re-packs a new union.  Released before the rebuild.
-            workspace = SweepWorkspace(
-                batch.graph, aggregation=cfg.aggregation,
-                array_backend=cfg.array_backend,
-            )
+            workspace = SweepWorkspace(batch.graph,
+                                       aggregation=cfg.aggregation)
             with tracer.step("clustering", phase=phase_index):
                 outcome = run_phase_batch(
                     batch, state,
@@ -502,7 +498,7 @@ def louvain_batch(
             with tracer.step("rebuild", phase=phase_index):
                 rebuild = coarsen(batch.graph, state.comm)
             dense = rebuild.vertex_to_meta
-            meta_offsets = numpy_ops.zeros(len(work) + 1, dtype=np.int64)
+            meta_offsets = np.zeros(len(work) + 1, dtype=np.int64)
             for i in range(len(work)):
                 meta_offsets[i + 1] = int(dense[batch.block(i)].max()) + 1
             coarse = GraphBatch(

@@ -18,9 +18,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-from repro.backends import backend_default as array_backend_default
 from repro.lint.sanitizer import sanitize_default
 from repro.obs.live import metrics_ring_default
 from repro.obs.profile import profile_default
@@ -117,14 +116,6 @@ class LouvainConfig:
         :mod:`repro.parallel.process_backend`).
     num_threads:
         Worker count for the thread/process backends.
-    array_backend:
-        Array-API namespace the sweep kernels run against
-        (:mod:`repro.backends`): ``"numpy"`` (default; bitwise identical
-        to the pre-dispatch kernels), ``"cupy"``, ``"torch"``, or
-        ``"array-api-strict"`` — non-NumPy backends require the
-        corresponding package.  Defaults to the ``REPRO_ARRAY_BACKEND``
-        environment setting.  Like ``backend``, this is execution
-        mechanics, not a semantic field.
     max_phases / max_iterations_per_phase:
         Safety caps; the algorithm normally terminates on thresholds alone.
     sanitize:
@@ -203,7 +194,6 @@ class LouvainConfig:
     prune: bool = True
     incremental_modularity: bool = True
     backend: str = "serial"
-    array_backend: str = field(default_factory=array_backend_default)
     sanitize: bool = field(default_factory=sanitize_default)
     trace: bool = field(default_factory=trace_default)
     profile: bool = field(default_factory=profile_default)
@@ -234,8 +224,6 @@ class LouvainConfig:
             raise ValidationError(f"unknown aggregation {self.aggregation!r}")
         if self.backend not in ("serial", "threads", "processes"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        if not isinstance(self.array_backend, str) or not self.array_backend:
-            raise ValidationError("array_backend must be a backend name")
         if self.metrics_ring is not None and (
                 not isinstance(self.metrics_ring, str) or not self.metrics_ring):
             raise ValidationError(
@@ -252,6 +240,31 @@ class LouvainConfig:
         if self.resolution <= 0:
             raise ValidationError("resolution must be positive")
         parse_fault_plan(self.fault_plan)  # validates; ValidationError on bad plans
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LouvainConfig":
+        """Build a config from a field dict: a job spec's ``config``, a
+        checkpoint's ``config_json``.
+
+        Unknown fields and values of the wrong type raise
+        :class:`~repro.utils.errors.ValidationError`.  ``array_backend``,
+        a field of older configs, is dropped when it names NumPy — the
+        only array library the kernels run on — and rejected otherwise.
+        """
+        data = dict(data)
+        legacy = data.pop("array_backend", "numpy")
+        if legacy != "numpy":
+            raise ValidationError(
+                f"array_backend {legacy!r} is not supported: the kernels "
+                "run on NumPy only"
+            )
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown config fields {unknown}")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a value of the wrong type
+            raise ValidationError(f"bad config: {exc}") from None
 
     def with_(self, **overrides) -> "LouvainConfig":
         """Return a copy with the given fields replaced."""

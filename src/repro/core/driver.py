@@ -432,8 +432,7 @@ def louvain(
             # and scratch buffers are graph-bound, and each phase runs on a
             # new coarsened graph.  Released before the rebuild.
             workspace = (
-                SweepWorkspace(current, aggregation=cfg.aggregation,
-                               array_backend=cfg.array_backend)
+                SweepWorkspace(current, aggregation=cfg.aggregation)
                 if cfg.kernel == "vectorized" else None
             )
             with tracer.step("clustering", phase=phase_index):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import numpy_ops
 from repro.graph.csr import CSRGraph
 from repro.core.modularity import community_degrees, vertex_to_community_weight
 from repro.lint.sanitizer import snapshot_kernel
@@ -107,7 +106,7 @@ def delta_q_vertex(graph: CSRGraph, communities, v: int, target: int,
     kernels compute the same quantity incrementally.  Moving ``v`` to its
     own community returns 0.
     """
-    comm = numpy_ops.asarray(communities)
+    comm = np.asarray(communities)
     cur = int(comm[v])
     if target == cur:
         return 0.0
@@ -147,7 +146,7 @@ def concurrent_gain(graph: CSRGraph, communities, i: int, j: int,
     Both vertices must currently live outside ``target`` and in different
     communities from each other (the Lemma 1 setting).
     """
-    comm = numpy_ops.asarray(communities)
+    comm = np.asarray(communities)
     if comm[i] == target or comm[j] == target:
         raise ValidationError("vertices must start outside the target community")
     if comm[i] == comm[j]:

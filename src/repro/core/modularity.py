@@ -10,17 +10,12 @@ and counts once), ``a_C = sum_{i in C} k_i`` is the community degree, and
 ``m`` is half the total weighted degree.
 
 Everything here is vectorized over CSR entries; no per-vertex Python loops.
-This module belongs to the array-API kernel tier: all array operations go
-through a :class:`repro.backends.ArrayOps` dispatch object (NumPy by
-default, bitwise identical to the pre-port kernels; CuPy/torch when
-installed — see :mod:`repro.backends`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import ArrayOps, numpy_ops
 from repro.graph.csr import CSRGraph
 from repro.utils.errors import ValidationError
 
@@ -34,22 +29,15 @@ __all__ = [
 ]
 
 
-def _check_assignment(graph: CSRGraph, communities,
-                      ops: ArrayOps = numpy_ops):
-    comm = ops.asarray(communities)
+def _check_assignment(graph: CSRGraph, communities):
+    comm = np.asarray(communities)
     if comm.shape != (graph.num_vertices,):
         raise ValidationError(
             f"communities must have shape ({graph.num_vertices},), got {comm.shape}"
         )
-    if not _is_integer_dtype(comm, ops):
+    if not np.issubdtype(comm.dtype, np.integer):
         raise ValidationError("communities must be an integer array")
-    return ops.astype(comm, ops.int64, copy=False)
-
-
-def _is_integer_dtype(arr, ops: ArrayOps) -> bool:
-    if ops.is_numpy:
-        return bool(np.issubdtype(arr.dtype, np.integer))
-    return bool(ops.isdtype(arr.dtype, "integral"))
+    return comm.astype(np.int64, copy=False)
 
 
 def communities_are_valid(graph: CSRGraph, communities) -> bool:
@@ -61,8 +49,7 @@ def communities_are_valid(graph: CSRGraph, communities) -> bool:
     return True
 
 
-def community_degrees(graph: CSRGraph, communities, num_labels: int | None = None,
-                      *, ops: ArrayOps = numpy_ops):
+def community_degrees(graph: CSRGraph, communities, num_labels: int | None = None):
     """Community degrees ``a_C`` (Eq. 2) indexed by community label.
 
     Parameters
@@ -71,41 +58,35 @@ def community_degrees(graph: CSRGraph, communities, num_labels: int | None = Non
         Length of the output array (labels must lie in ``[0, num_labels)``).
         Defaults to ``max label + 1``.
     """
-    comm = _check_assignment(graph, communities, ops)
+    comm = _check_assignment(graph, communities)
     if num_labels is None:
-        num_labels = int(ops.max(comm)) + 1 if comm.shape[0] else 0
-    return ops.bincount(comm, weights=ops.asarray(graph.degrees),
-                        minlength=num_labels)
+        num_labels = int(comm.max()) + 1 if comm.size else 0
+    return np.bincount(comm, weights=graph.degrees, minlength=num_labels)
 
 
-def community_sizes(graph: CSRGraph, communities, num_labels: int | None = None,
-                    *, ops: ArrayOps = numpy_ops):
+def community_sizes(graph: CSRGraph, communities, num_labels: int | None = None):
     """Number of vertices per community label."""
-    comm = _check_assignment(graph, communities, ops)
+    comm = _check_assignment(graph, communities)
     if num_labels is None:
-        num_labels = int(ops.max(comm)) + 1 if comm.shape[0] else 0
-    return ops.bincount(comm, minlength=num_labels)
+        num_labels = int(comm.max()) + 1 if comm.size else 0
+    return np.bincount(comm, minlength=num_labels)
 
 
-def intra_community_weight(graph: CSRGraph, communities,
-                           *, ops: ArrayOps = numpy_ops) -> float:
+def intra_community_weight(graph: CSRGraph, communities) -> float:
     """``sum_i e_{i→C(i)}`` — the numerator of Eq. 3's first term.
 
     Each intra-community non-loop edge contributes its weight twice (once
     per endpoint); a self-loop contributes once.
     """
-    comm = _check_assignment(graph, communities, ops)
-    row_of = ops.asarray(graph.row_of_entry())
-    dst = ops.asarray(graph.indices)
-    weights = ops.asarray(graph.weights)
-    src_c = ops.take(comm, row_of)
-    dst_c = ops.take(comm, dst)
-    intra = ops.flatnonzero(src_c == dst_c)
-    return float(ops.sum(ops.take(weights, intra)))
+    comm = _check_assignment(graph, communities)
+    src_c = np.take(comm, graph.row_of_entry())
+    dst_c = np.take(comm, graph.indices)
+    intra = np.flatnonzero(src_c == dst_c)
+    return float(np.sum(np.take(graph.weights, intra)))
 
 
-def modularity(graph: CSRGraph, communities, *, resolution: float = 1.0,
-               ops: ArrayOps = numpy_ops) -> float:
+def modularity(graph: CSRGraph, communities, *,
+               resolution: float = 1.0) -> float:
     """Modularity ``Q`` of a partition (Eq. 3), with an optional resolution
     parameter.
 
@@ -127,27 +108,26 @@ def modularity(graph: CSRGraph, communities, *, resolution: float = 1.0,
     >>> round(q, 4)
     0.4231
     """
-    comm = _check_assignment(graph, communities, ops)
+    comm = _check_assignment(graph, communities)
     m = graph.total_weight
     if m <= 0:
         return 0.0
     if resolution <= 0:
         raise ValidationError("resolution must be positive")
-    a_c = community_degrees(graph, comm, ops=ops)
-    intra = intra_community_weight(graph, comm, ops=ops)
+    a_c = community_degrees(graph, comm)
+    intra = intra_community_weight(graph, comm)
     return intra / (2.0 * m) - resolution * float(
-        ops.sum(ops.square(a_c / (2.0 * m)))
+        np.sum(np.square(a_c / (2.0 * m)))
     )
 
 
 def vertex_to_community_weight(graph: CSRGraph, v: int, communities,
-                               target: int, *, ops: ArrayOps = numpy_ops
-                               ) -> float:
+                               target: int) -> float:
     """``e_{v→target}`` — total weight from ``v`` into community ``target``.
 
     Includes the self-loop when ``target`` is ``v``'s own community.
     """
-    comm = _check_assignment(graph, communities, ops)
+    comm = _check_assignment(graph, communities)
     nbrs, w = graph.neighbors(v)
-    nbr_comm = ops.take(comm, ops.asarray(nbrs))
-    return float(ops.sum(ops.asarray(w)[nbr_comm == target]))
+    nbr_comm = np.take(comm, nbrs)
+    return float(np.sum(w[nbr_comm == target]))

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import ArrayOps, get_ops, numpy_ops
 from repro.core.workspace import (
     SweepWorkspace,
     aggregate_pairs,
@@ -107,7 +106,7 @@ class SweepState:
         )
 
     def num_communities(self) -> int:
-        return int(numpy_ops.count_nonzero(self.comm_size))
+        return int(np.count_nonzero(self.comm_size))
 
 
 def init_state(graph: CSRGraph, initial=None) -> SweepState:
@@ -118,15 +117,15 @@ def init_state(graph: CSRGraph, initial=None) -> SweepState:
     """
     n = graph.num_vertices
     if initial is None:
-        comm = numpy_ops.arange(n, dtype=np.int64)
+        comm = np.arange(n, dtype=np.int64)
     else:
-        comm = numpy_ops.asarray(initial, dtype=np.int64).copy()
+        comm = np.asarray(initial, dtype=np.int64).copy()
         if comm.shape != (n,):
             raise ValidationError(f"initial assignment must have shape ({n},)")
         if n and (comm.min() < 0 or comm.max() >= n):
             raise ValidationError("initial labels must lie in [0, n)")
-    comm_degree = numpy_ops.bincount(comm, weights=graph.degrees, minlength=n)
-    comm_size = numpy_ops.bincount(comm, minlength=n)
+    comm_degree = np.bincount(comm, weights=graph.degrees, minlength=n)
+    comm_size = np.bincount(comm, minlength=n)
     return SweepState(comm, comm_degree, comm_size.astype(np.int64))
 
 
@@ -149,15 +148,15 @@ def compute_targets_reference(
     """
     m = graph.total_weight
     if m <= 0:
-        return state.comm[numpy_ops.asarray(vertices, dtype=np.int64)].copy()
+        return state.comm[np.asarray(vertices, dtype=np.int64)].copy()
     two_m_sq = (2.0 * m) ** 2
     comm = state.comm
     a = state.comm_degree
     size = state.comm_size
     degrees = graph.degrees
 
-    targets = numpy_ops.empty(len(vertices), dtype=np.int64)
-    for out_idx, v in enumerate(numpy_ops.asarray(vertices, dtype=np.int64)):
+    targets = np.empty(len(vertices), dtype=np.int64)
+    for out_idx, v in enumerate(np.asarray(vertices, dtype=np.int64)):
         cur = int(comm[v])
         nbrs, ws = graph.neighbors(v)
         k_v = float(degrees[v])
@@ -200,13 +199,6 @@ def compute_targets_reference(
 # ---------------------------------------------------------------------------
 # Vectorized kernel
 # ---------------------------------------------------------------------------
-def _backend_float_dtype(ops: ArrayOps, np_dtype):
-    """``np_dtype`` (float32/float64) translated to ``ops``' namespace."""
-    if ops.is_numpy:
-        return np_dtype
-    return ops.float32 if np_dtype == np.float32 else ops.float64
-
-
 @snapshot_kernel("graph", "state")
 def compute_targets_vectorized(
     graph: CSRGraph,
@@ -226,10 +218,7 @@ def compute_targets_vectorized(
 
     One e_{v→C} aggregation over the active CSR entries plus scatter
     reductions; no per-vertex Python loop.  Produces exactly the targets of
-    :func:`compute_targets_reference` for every aggregation path.  Array
-    work runs on the workspace's :class:`~repro.backends.ArrayOps` backend
-    (NumPy bitwise-identically; accelerator namespaces when configured);
-    inputs and the returned targets are host arrays either way.
+    :func:`compute_targets_reference` for every aggregation path.
 
     Parameters
     ----------
@@ -254,7 +243,7 @@ def compute_targets_vectorized(
         :func:`~repro.core.workspace.loop_free_rows` to gather from
         (built per call when omitted); a workspace brings its own.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
     m = graph.total_weight
     cur = state.comm[vertices]
     if vertices.size == 0 or (m_v is None and m <= 0):
@@ -268,35 +257,29 @@ def compute_targets_vectorized(
     if workspace is not None:
         plan = workspace.plan(vertices, key=plan_key)
         mode = aggregation if aggregation is not None else workspace.aggregation
-        ops = workspace.ops
     else:
         plan = build_plan(graph, vertices, rows)
         mode = aggregation if aggregation is not None else "auto"
-        ops = get_ops()
     if plan.block.nnz == 0:
         return cur.copy()
 
     pair_indptr, pair_comm, e, mode_used = aggregate_pairs(
-        plan, state.comm, n, mode, ops
+        plan, state.comm, n, mode
     )
     if workspace is not None:
         workspace.last_aggregation = mode_used
 
     num_active = vertices.size
-    k_v = plan.device(ops, "degrees")
-    cur_d = ops.asarray(cur)
-    comm_degree = ops.asarray(state.comm_degree)
-    pair_owner = ops.repeat(ops.arange(num_active, dtype=ops.int64),
-                            ops.diff(pair_indptr))
+    k_v = plan.degrees
+    pair_owner = np.repeat(np.arange(num_active, dtype=np.int64),
+                           np.diff(pair_indptr))
 
     # e_{v→C(v)\{v}} per active vertex (0 when no same-community neighbor).
     # The accumulator follows the graph's weight dtype (float32 graphs
     # halve its traffic; float64 graphs are bit-unchanged).
-    e_cur = ops.zeros(
-        num_active, dtype=_backend_float_dtype(ops, plan.degrees.dtype)
-    )
-    own = ops.flatnonzero(pair_comm == ops.take(cur_d, pair_owner))
-    ops.put(e_cur, ops.take(pair_owner, own), ops.take(e, own))
+    e_cur = np.zeros(num_active, dtype=k_v.dtype)
+    own = np.flatnonzero(pair_comm == np.take(cur, pair_owner))
+    e_cur[np.take(pair_owner, own)] = np.take(e, own)
 
     # Eq. 4 gain of every pair, with the exact operation order of the
     # reference kernel (bitwise-identical rounding is what makes the
@@ -305,21 +288,21 @@ def compute_targets_vectorized(
     # operands of a commutative ``*``/``+`` swapped, and ``resolution·x``
     # skipped at resolution 1.  ``comm_degree`` is float64, so the penalty
     # buffer already has the dtype of the full sum.
-    gain = e - ops.take(e_cur, pair_owner)
+    gain = e - np.take(e_cur, pair_owner)
     if m_v is None:
         gain /= m
     else:
-        gain = gain / ops.take(ops.asarray(m_v), pair_owner)
-    a_cur_excl = ops.take(comm_degree, cur_d) - k_v
-    penalty = ops.take(a_cur_excl, pair_owner)
-    penalty -= ops.take(comm_degree, pair_comm)
-    penalty *= ops.take(2.0 * k_v, pair_owner)
+        gain = gain / np.take(m_v, pair_owner)
+    a_cur_excl = np.take(state.comm_degree, cur) - k_v
+    penalty = np.take(a_cur_excl, pair_owner)
+    penalty -= np.take(state.comm_degree, pair_comm)
+    penalty *= np.take(2.0 * k_v, pair_owner)
     if resolution != 1.0:
         penalty *= resolution
     if m_v is None:
         penalty /= (2.0 * m) ** 2
     else:
-        penalty /= ops.take(ops.asarray(two_m_sq_v), pair_owner)
+        penalty /= np.take(two_m_sq_v, pair_owner)
     penalty += gain
     gain = penalty
 
@@ -331,27 +314,27 @@ def compute_targets_vectorized(
     # gain: at ``resolution ≤ 0`` it can be ≥ 0.  On a first sweep from
     # singletons every pair qualifies, and the pair arrays are used as
     # they are.
-    ops.put(gain, own, ops.asarray(0.0, dtype=gain.dtype))
-    pos = ops.flatnonzero(gain > 0.0)
-    if pos.shape[0] == 0:
+    gain[own] = 0.0
+    pos = np.flatnonzero(gain > 0.0)
+    if pos.size == 0:
         return cur.copy()
-    if pos.shape[0] < gain.shape[0]:
-        gain = ops.take(gain, pos)
-        pair_owner = ops.take(pair_owner, pos)
-        pair_comm = ops.take(pair_comm, pos)
+    if pos.size < gain.size:
+        gain = np.take(gain, pos)
+        pair_owner = np.take(pair_owner, pos)
+        pair_comm = np.take(pair_comm, pos)
     # Per-owner maximum gain by scatter-max from 0.0, so an owner without
     # a positive pair keeps 0.0 and no other does; then, among the pairs
     # at their owner's maximum, the minimum (or, for the ablation,
     # maximum) community label by scatter-min (-max) from a sentinel.
-    best = ops.zeros(num_active, dtype=gain.dtype)
-    ops.scatter_max(best, pair_owner, gain)
-    win = ops.flatnonzero(gain == ops.take(best, pair_owner))
-    chosen = ops.full(num_active, n if use_min_label else -1,
-                      dtype=pair_comm.dtype)
-    pick = ops.scatter_min if use_min_label else ops.scatter_max
-    pick(chosen, ops.take(pair_owner, win), ops.take(pair_comm, win))
-    movers = ops.to_numpy(ops.flatnonzero(best))
-    dest = ops.to_numpy(chosen).take(movers)
+    best = np.zeros(num_active, dtype=gain.dtype)
+    np.maximum.at(best, pair_owner, gain)
+    win = np.flatnonzero(gain == np.take(best, pair_owner))
+    chosen = np.full(num_active, n if use_min_label else -1,
+                     dtype=pair_comm.dtype)
+    pick = np.minimum if use_min_label else np.maximum
+    pick.at(chosen, np.take(pair_owner, win), np.take(pair_comm, win))
+    movers = np.flatnonzero(best)
+    dest = chosen.take(movers)
 
     if use_min_label:
         # Singlet rule: both source and destination singlets → only allow a
@@ -360,7 +343,7 @@ def compute_targets_vectorized(
         src = cur.take(movers)
         size = state.comm_size
         stay = (size.take(src) == 1) & (size.take(dest) == 1) & (dest > src)
-        numpy_ops.copyto(dest, src, where=stay)
+        np.copyto(dest, src, where=stay)
     targets = cur.copy()
     targets[movers] = dest
     return targets
@@ -400,7 +383,7 @@ def compute_targets(
     guard changes no results — target computation is read-only by
     contract — and costs O(1) flag flips per sweep.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
     sanitize = resolve_sanitize(sanitize)
     guard = frozen_snapshot(state) if sanitize else nullcontext()
     span = get_tracer().span(
@@ -446,8 +429,7 @@ def compute_targets(
             ),
             chunks,
         )
-        return (numpy_ops.concat(results) if results
-                else numpy_ops.zeros(0, np.int64))
+        return np.concat(results) if results else np.zeros(0, np.int64)
 
 
 @dataclass(frozen=True)
@@ -487,7 +469,7 @@ _NO_MOVES = None  # lazily built empty MoveResult
 def _empty_move_result() -> MoveResult:
     global _NO_MOVES
     if _NO_MOVES is None:
-        empty = numpy_ops.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
         _NO_MOVES = MoveResult(empty, 0.0, 0.0, empty)
     return _NO_MOVES
 
@@ -499,9 +481,9 @@ def _intra_sums(w: np.ndarray, both_moved: np.ndarray,
     compresses keep the entries of ``w[intra]`` and ``w[intra &
     both_moved]`` in the same order, so the sums are the same bits; the
     second compress runs over the intra entries only."""
-    i_idx = numpy_ops.flatnonzero(intra)
+    i_idx = np.flatnonzero(intra)
     wi = w.take(i_idx)
-    both = numpy_ops.flatnonzero(both_moved.take(i_idx))
+    both = np.flatnonzero(both_moved.take(i_idx))
     return float(wi.sum()), float(wi.take(both).sum())
 
 
@@ -542,12 +524,12 @@ def apply_moves_tracked(
     ``Δintra = 2·ΔS − ΔP`` counts each direction exactly once.  Self-loops
     sit in both ``S`` and ``P`` and are always intra, so they cancel.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
-    targets = numpy_ops.asarray(targets, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
     if vertices.shape != targets.shape:
         raise ValidationError("vertices and targets must be aligned")
     cur = state.comm[vertices]
-    idx = numpy_ops.flatnonzero(targets != cur)
+    idx = np.flatnonzero(targets != cur)
     if idx.size == 0:
         return _empty_move_result()
     mv = vertices.take(idx)
@@ -559,21 +541,21 @@ def apply_moves_tracked(
     rows = graph.row_view[mv]
     # int64 copy: NumPy fancy-indexes several times faster with intp
     # arrays than with SciPy's int32 ones, and ``nbr`` indexes four times.
-    nbr = numpy_ops.astype(rows.indices, np.int64)
+    nbr = rows.indices.astype(np.int64)
     w = rows.data
-    counts = numpy_ops.diff(rows.indptr)
+    counts = np.diff(rows.indptr)
 
     if workspace is not None:
         mover_mask = workspace.zeros_bool("mover_mask", n)
     else:
-        mover_mask = numpy_ops.zeros(n, dtype=bool)
+        mover_mask = np.zeros(n, dtype=bool)
     mover_mask[mv] = True
     both_moved = mover_mask[nbr]
 
     # Fancy indexing copies: ``nbr_comm`` is the pre-move snapshot.
     nbr_comm = state.comm[nbr]
     s_before, p_before = _intra_sums(
-        w, both_moved, nbr_comm == numpy_ops.repeat(src, counts))
+        w, both_moved, nbr_comm == np.repeat(src, counts))
 
     # Commit, snapshotting the affected community degrees around the
     # update.  Affected labels are collected through an O(n) mask rather
@@ -581,22 +563,22 @@ def apply_moves_tracked(
     if workspace is not None:
         affected_mask = workspace.zeros_bool("affected_mask", n)
     else:
-        affected_mask = numpy_ops.zeros(n, dtype=bool)
+        affected_mask = np.zeros(n, dtype=bool)
     affected_mask[src] = True
     affected_mask[dst_comm] = True
-    affected = numpy_ops.flatnonzero(affected_mask)
+    affected = np.flatnonzero(affected_mask)
     affected_mask[affected] = False  # reset the scratch for the next call
     a_before = state.comm_degree[affected].copy()
     state.comm[mv] = dst_comm
-    numpy_ops.scatter_sub(state.comm_degree, src, k)
-    numpy_ops.scatter_add(state.comm_degree, dst_comm, k)
-    numpy_ops.scatter_sub(state.comm_size, src, 1)
-    numpy_ops.scatter_add(state.comm_size, dst_comm, 1)
+    np.subtract.at(state.comm_degree, src, k)
+    np.add.at(state.comm_degree, dst_comm, k)
+    np.subtract.at(state.comm_size, src, 1)
+    np.add.at(state.comm_size, dst_comm, 1)
     a_after = state.comm_degree[affected]
     delta_degree_sq = float((a_after * a_after - a_before * a_before).sum())
 
     s_after, p_after = _intra_sums(
-        w, both_moved, state.comm[nbr] == numpy_ops.repeat(dst_comm, counts))
+        w, both_moved, state.comm[nbr] == np.repeat(dst_comm, counts))
     delta_intra = 2.0 * (s_after - s_before) - (p_after - p_before)
 
     mover_mask[mv] = False  # reset the scratch for the next call
@@ -605,7 +587,7 @@ def apply_moves_tracked(
         frontier_out[nbr] = True
         frontier = mv[:0]
     else:
-        frontier = numpy_ops.unique(numpy_ops.concat((mv, nbr)))
+        frontier = np.unique(np.concat((mv, nbr)))
     return MoveResult(mv, delta_intra, delta_degree_sq, frontier)
 
 
@@ -623,12 +605,12 @@ def apply_moves(
     Use :func:`apply_moves_tracked` when the caller also needs the
     incremental-modularity deltas and the pruning frontier.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
-    targets = numpy_ops.asarray(targets, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
     if vertices.shape != targets.shape:
         raise ValidationError("vertices and targets must be aligned")
     cur = state.comm[vertices]
-    idx = numpy_ops.flatnonzero(targets != cur)
+    idx = np.flatnonzero(targets != cur)
     if idx.size == 0:
         return 0
     mv = vertices.take(idx)
@@ -636,10 +618,10 @@ def apply_moves(
     dst = targets.take(idx)
     k = graph.degrees[mv]
     state.comm[mv] = dst
-    numpy_ops.scatter_sub(state.comm_degree, src, k)
-    numpy_ops.scatter_add(state.comm_degree, dst, k)
-    numpy_ops.scatter_sub(state.comm_size, src, 1)
-    numpy_ops.scatter_add(state.comm_size, dst, 1)
+    np.subtract.at(state.comm_degree, src, k)
+    np.add.at(state.comm_degree, dst, k)
+    np.subtract.at(state.comm_size, src, 1)
+    np.add.at(state.comm_size, dst, 1)
     return int(idx.size)
 
 

@@ -33,9 +33,8 @@ between the three automatically:
     this path skips: each row of ``S`` holds one entry, so ``nnz(A)``
     bounds the product.
 ``"sort"``
-    The seed ``argsort`` + segmented-reduction path, kept as the fallback
-    for non-NumPy array backends (and as the differential-testing
-    baseline).
+    The seed ``argsort`` + segmented-reduction path, kept as the
+    differential-testing baseline.
 
 All three return the same pair set in one format, a CSR-style block over
 the active vertices (see :func:`aggregate_pairs`), from whose
@@ -52,9 +51,9 @@ import numpy as np
 from scipy import sparse as _sparse
 from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 
-from repro.backends import ArrayOps, get_ops, numpy_ops
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import snapshot_kernel
+from repro.utils.arrays import run_boundaries
 from repro.utils.errors import ValidationError
 
 __all__ = [
@@ -95,18 +94,14 @@ class GatherPlan:
     #: the block itself and never needs them).
     _owner: "np.ndarray | None" = field(default=None, repr=False)
     _dst: "np.ndarray | None" = field(default=None, repr=False)
-    #: Per-backend device copies of the arrays above, keyed by
-    #: ``(backend name, attribute)`` — built once per plan, reused every
-    #: sweep.
-    _device: dict = field(default_factory=dict, repr=False)
 
     @property
     def owner(self) -> np.ndarray:
         """Index into ``vertices`` owning each block entry (int64)."""
         if self._owner is None:
-            self._owner = numpy_ops.repeat(
-                numpy_ops.arange(self.vertices.size, dtype=np.int64),
-                numpy_ops.diff(self.block.indptr),
+            self._owner = np.repeat(
+                np.arange(self.vertices.size, dtype=np.int64),
+                np.diff(self.block.indptr),
             )
         return self._owner
 
@@ -115,24 +110,13 @@ class GatherPlan:
         """Neighbor vertex of each block entry (int64: NumPy indexes with
         int32 arrays several times slower than with intp ones)."""
         if self._dst is None:
-            self._dst = numpy_ops.astype(self.block.indices, np.int64)
+            self._dst = self.block.indices.astype(np.int64)
         return self._dst
 
     @property
     def weights(self) -> np.ndarray:
         """Weight of each block entry."""
         return self.block.data
-
-    def device(self, ops: ArrayOps, name: str):
-        """Attribute ``name`` of this plan on ``ops``' backend (cached)."""
-        value = getattr(self, name)
-        if ops.is_numpy:
-            return value
-        key = (ops.name, name)
-        cached = self._device.get(key)
-        if cached is None:
-            cached = self._device[key] = ops.from_numpy(value)
-        return cached
 
 
 def loop_free_rows(graph: CSRGraph):
@@ -151,10 +135,10 @@ def loop_free_rows(graph: CSRGraph):
     # Rows are duplicate-free, so each row loses at most its one loop:
     # the loops before a row start shift that start back.
     loop = view.indices == graph.row_of_entry()
-    loops = numpy_ops.flatnonzero(loop)
-    keep = numpy_ops.flatnonzero(~loop)
-    indptr = view.indptr - numpy_ops.astype(
-        numpy_ops.searchsorted(loops, view.indptr), view.indptr.dtype)
+    loops = np.flatnonzero(loop)
+    keep = np.flatnonzero(~loop)
+    indptr = view.indptr - np.searchsorted(loops, view.indptr).astype(
+        view.indptr.dtype)
     rows = _sparse.csr_matrix(
         (view.data.take(keep), view.indices.take(keep), indptr),
         shape=view.shape)
@@ -171,12 +155,12 @@ def build_plan(graph: CSRGraph, vertices: np.ndarray,
     given — callers that plan repeatedly pass the one they hold).  The
     full vertex range needs no gather: its block is ``rows`` itself, so
     a full sweep holds no second copy of the adjacency."""
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
     if rows is None:
         rows = loop_free_rows(graph)
     n = graph.num_vertices
-    if vertices.size == n and numpy_ops.array_equal(
-            vertices, numpy_ops.arange(n, dtype=np.int64)):
+    if vertices.size == n and np.array_equal(
+            vertices, np.arange(n, dtype=np.int64)):
         block = rows
     else:
         block = rows[vertices]
@@ -192,23 +176,20 @@ def build_plan(graph: CSRGraph, vertices: np.ndarray,
     )
 
 
-def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int,
-                  ops: ArrayOps = numpy_ops) -> str:
+def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int) -> str:
     """Pick the concrete aggregation path for one sweep.
 
     The bincount path costs O(key range); it is linear overall only when
     ``num_active·(n+1)`` stays within a small multiple of the entry count,
     which holds for small/coarse graphs and shrunken frontiers.  Otherwise
-    the sparse-matmul path is O(n + E); the sort path is the last resort.
-    SciPy's SMMP kernel is host-only, so on non-NumPy backends the matmul
-    path resolves to the sort path.
+    the sparse-matmul path is O(n + E).
     """
     if mode != "auto":
         return mode
     key_range = num_active * (n + 1)
     if key_range <= max(1 << 16, 8 * num_pairs):
         return "bincount"
-    return "matmul" if ops.is_numpy else "sort"
+    return "matmul"
 
 
 def _smmp_pairs(block, comm: np.ndarray, n: int):
@@ -225,19 +206,19 @@ def _smmp_pairs(block, comm: np.ndarray, n: int):
     nnz = block.nnz
     idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
     num_rows = block.shape[0]
-    indptr = numpy_ops.empty(num_rows + 1, dtype=idx)
-    indices = numpy_ops.empty(nnz, dtype=idx)
-    data = numpy_ops.empty(nnz, dtype=np.float64)
+    indptr = np.empty(num_rows + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz, dtype=np.float64)
     _csr_matmat(
         num_rows, n,
-        numpy_ops.asarray(block.indptr, dtype=idx),
-        numpy_ops.asarray(block.indices, dtype=idx), block.data,
-        numpy_ops.arange(n + 1, dtype=idx), numpy_ops.astype(comm, idx),
-        numpy_ops.ones(n, dtype=np.float64),
+        np.asarray(block.indptr, dtype=idx),
+        np.asarray(block.indices, dtype=idx), block.data,
+        np.arange(n + 1, dtype=idx), comm.astype(idx),
+        np.ones(n, dtype=np.float64),
         indptr, indices, data,
     )
     size = int(indptr[-1])
-    return indptr, numpy_ops.astype(indices[:size], np.int64), data[:size]
+    return indptr, indices[:size].astype(np.int64), data[:size]
 
 
 @snapshot_kernel("plan", "comm")
@@ -246,7 +227,6 @@ def aggregate_pairs(
     comm: np.ndarray,
     n: int,
     mode: str = "auto",
-    ops: ArrayOps = numpy_ops,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Aggregate ``e_{v→C}`` over the plan's entries.
 
@@ -256,8 +236,7 @@ def aggregate_pairs(
     from that vertex into community ``pair_comm[j]``.  Each community
     appears at most once per vertex (bincount/sort list them in ascending
     order, matmul in SMMP's order); a vertex without non-loop entries
-    has an empty segment.  The arrays live on ``ops``' backend (NumPy by
-    default).
+    has an empty segment.
 
     The matmul path calls SciPy's private C entry point
     ``scipy.sparse._sparsetools.csr_matmat`` once, with output buffers of
@@ -274,37 +253,30 @@ def aggregate_pairs(
     if mode not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {mode!r}")
     num_active = plan.vertices.size
-    mode = _resolve_mode(mode, num_active, n, plan.block.nnz, ops)
-    if mode == "matmul" and not ops.is_numpy:
-        mode = "sort"
+    mode = _resolve_mode(mode, num_active, n, plan.block.nnz)
 
     if mode == "matmul":
         return (*_smmp_pairs(plan.block, comm, n), mode)
 
-    owner = plan.device(ops, "owner")
-    dst = plan.device(ops, "dst")
-    weights = plan.device(ops, "weights")
-    comm = ops.asarray(comm)
     # Keys are owner·(n+1) + community, so owner i's pairs are the keys in
     # [i·(n+1), (i+1)·(n+1)).  Python-int stride: owner is int64, so the
-    # product dtype is unchanged, and backend arrays accept python scalars
-    # where they may reject NumPy scalar types.
-    bounds = ops.arange(num_active + 1, dtype=ops.int64) * (n + 1)
-    key = owner * (n + 1) + ops.take(comm, dst)
+    # product dtype is unchanged.
+    bounds = np.arange(num_active + 1, dtype=np.int64) * (n + 1)
+    key = plan.owner * (n + 1) + np.take(comm, plan.dst)
     if mode == "bincount":
-        totals = ops.bincount(key, weights=weights,
-                              minlength=num_active * (n + 1))
-        pairs = ops.flatnonzero(totals)
-        return (ops.searchsorted(pairs, bounds), pairs % (n + 1),
-                ops.take(totals, pairs), mode)
+        totals = np.bincount(key, weights=plan.weights,
+                             minlength=num_active * (n + 1))
+        pairs = np.flatnonzero(totals)
+        return (np.searchsorted(pairs, bounds), pairs % (n + 1),
+                np.take(totals, pairs), mode)
 
     # Seed path: sort (owner, community) keys, segment-sum the weights.
-    order = ops.argsort_stable(key)
-    key_s = ops.take(key, order)
-    starts = ops.run_boundaries(key_s)
-    e = ops.add_reduceat(ops.take(weights, order), starts)
-    pairs = ops.take(key_s, starts)
-    return ops.searchsorted(pairs, bounds), pairs % (n + 1), e, "sort"
+    order = np.argsort(key, kind="stable")
+    key_s = np.take(key, order)
+    starts = run_boundaries(key_s)
+    e = np.add.reduceat(np.take(plan.weights, order), starts)
+    pairs = np.take(key_s, starts)
+    return np.searchsorted(pairs, bounds), pairs % (n + 1), e, "sort"
 
 
 class SweepWorkspace:
@@ -325,26 +297,17 @@ class SweepWorkspace:
     * full-size ``bool`` scratch masks that the commit slices per sweep
       instead of reallocating.
 
-    ``array_backend`` selects the :class:`~repro.backends.ArrayOps`
-    namespace the sweep kernels run against (``None`` follows
-    ``REPRO_ARRAY_BACKEND``, default NumPy); the resolved object is exposed
-    as ``self.ops``.  Scratch pools are host-side NumPy — non-NumPy kernels
-    allocate their sweep arrays on-device instead of borrowing them.
-
     Not thread-safe: concurrent chunk evaluation must either share nothing
     (each worker owns a workspace, as the process backend does) or pass
     ``workspace=None`` (as the thread backend's chunk map does; its
     chunks share only :attr:`rows`, which is read-only).
     """
 
-    def __init__(self, graph: CSRGraph, aggregation: str = "auto",
-                 array_backend: "str | None" = None):
+    def __init__(self, graph: CSRGraph, aggregation: str = "auto"):
         if aggregation not in AGGREGATIONS:
             raise ValidationError(f"unknown aggregation {aggregation!r}")
         self.graph = graph
         self.aggregation = aggregation
-        #: Resolved array-API backend for this workspace's sweeps.
-        self.ops: ArrayOps = get_ops(array_backend)
         #: Aggregation path the most recent sweep actually used.
         self.last_aggregation: str | None = None
         #: The graph's :func:`loop_free_rows`, for this workspace's life.
@@ -360,7 +323,7 @@ class SweepWorkspace:
         if entry is not None and (
             entry.vertices is vertices
             or (key is not None
-                and numpy_ops.array_equal(entry.vertices, vertices))
+                and np.array_equal(entry.vertices, vertices))
         ):
             return entry
         entry = build_plan(self.graph, vertices, self.rows)
@@ -376,8 +339,7 @@ class SweepWorkspace:
         """A bool scratch view of ``size``; caller must reset set bits."""
         buf = self._bool.get(name)
         if buf is None or buf.size < size:
-            buf = numpy_ops.zeros(max(size, self.graph.num_vertices),
-                                  dtype=bool)
+            buf = np.zeros(max(size, self.graph.num_vertices), dtype=bool)
             self._bool[name] = buf
         return buf[:size]
 

@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import numpy_ops
 from repro.graph.csr import CSRGraph
 from repro.utils.errors import ValidationError
 
@@ -74,23 +73,21 @@ class GraphBatch:
 
     def vertex_graph_ids(self) -> np.ndarray:
         """``(n_union,)`` graph index owning each union vertex."""
-        return numpy_ops.repeat(
-            numpy_ops.arange(self.num_graphs, dtype=np.int64),
-            numpy_ops.astype(numpy_ops.diff(self.vertex_offsets), np.int64),
+        return np.repeat(
+            np.arange(self.num_graphs, dtype=np.int64),
+            np.diff(self.vertex_offsets).astype(np.int64),
         )
 
     def per_vertex(self, per_graph_values) -> np.ndarray:
         """Expand a ``(B,)`` per-graph array to ``(n_union,)`` per vertex."""
-        values = numpy_ops.asarray(per_graph_values)
+        values = np.asarray(per_graph_values)
         if values.shape != (self.num_graphs,):
             raise ValidationError(
                 f"expected ({self.num_graphs},) per-graph values, "
                 f"got {values.shape}"
             )
-        return numpy_ops.repeat(
-            values, numpy_ops.astype(numpy_ops.diff(self.vertex_offsets),
-                                     np.int64),
-        )
+        return np.repeat(values,
+                         np.diff(self.vertex_offsets).astype(np.int64))
 
     def subgraph(self, g: int) -> CSRGraph:
         """Reconstruct input graph ``g`` from its union block.
@@ -109,7 +106,7 @@ class GraphBatch:
 
     def split(self, per_vertex_values: np.ndarray) -> list[np.ndarray]:
         """Cut an ``(n_union,)`` array into per-graph block copies."""
-        values = numpy_ops.asarray(per_vertex_values)
+        values = np.asarray(per_vertex_values)
         if values.shape[0] != self.graph.num_vertices:
             raise ValidationError(
                 "per-vertex array does not match the union's vertex count"
@@ -144,19 +141,19 @@ def pack_graphs(graphs: "Sequence[CSRGraph]") -> GraphBatch:
         if not isinstance(g, CSRGraph):
             raise ValidationError("pack_graphs takes CSRGraph instances")
 
-    vertex_offsets = numpy_ops.zeros(len(graphs) + 1, dtype=np.int64)
-    entry_offsets = numpy_ops.zeros(len(graphs) + 1, dtype=np.int64)
+    vertex_offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    entry_offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
     for i, g in enumerate(graphs):
         vertex_offsets[i + 1] = vertex_offsets[i] + g.num_vertices
         entry_offsets[i + 1] = entry_offsets[i] + g.num_entries
 
     n_union = int(vertex_offsets[-1])
     nnz = int(entry_offsets[-1])
-    indptr = numpy_ops.zeros(n_union + 1, dtype=np.int64)
-    indices = numpy_ops.empty(nnz, dtype=np.int64)
+    indptr = np.zeros(n_union + 1, dtype=np.int64)
+    indices = np.empty(nnz, dtype=np.int64)
     weight_dtype = (np.float32 if all(g.weights.dtype == np.float32
                                       for g in graphs) else np.float64)
-    weights = numpy_ops.empty(nnz, dtype=weight_dtype)
+    weights = np.empty(nnz, dtype=weight_dtype)
     for i, g in enumerate(graphs):
         vs = slice(int(vertex_offsets[i]), int(vertex_offsets[i + 1]))
         es = slice(int(entry_offsets[i]), int(entry_offsets[i + 1]))

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import ArrayOps, numpy_ops
 from repro.graph.csr import CSRGraph
-from repro.utils.arrays import renumber_labels
+from repro.utils.arrays import renumber_labels, run_boundaries
 from repro.utils.errors import ValidationError
 
 __all__ = ["CoarsenResult", "coarsen", "project_assignment"]
@@ -75,8 +74,7 @@ class CoarsenResult:
     lock_ops: int
 
 
-def coarsen(graph: CSRGraph, communities,
-            ops: ArrayOps = numpy_ops) -> CoarsenResult:
+def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
     """Collapse ``graph`` along a community assignment.
 
     Parameters
@@ -86,15 +84,12 @@ def coarsen(graph: CSRGraph, communities,
     communities:
         ``(n,)`` integer community labels (arbitrary values; empty labels are
         dropped by the dense renumbering, exactly like the paper's step (i)).
-    ops:
-        Array-API backend the edge sweep runs on (NumPy default; the
-        aggregated coarse graph is always materialized on the host).
 
     Returns
     -------
     CoarsenResult
     """
-    comm = numpy_ops.asarray(communities)
+    comm = np.asarray(communities)
     n = graph.num_vertices
     if comm.shape != (n,):
         raise ValidationError(
@@ -107,26 +102,25 @@ def coarsen(graph: CSRGraph, communities,
 
     dense, k = renumber_labels(comm)
 
-    row_of = ops.asarray(graph.row_of_entry())
-    dense_d = ops.asarray(dense)
-    src_c = ops.take(dense_d, row_of)
-    dst_c = ops.take(dense_d, ops.asarray(graph.indices))
-    w = ops.asarray(graph.weights)
+    row_of = graph.row_of_entry()
+    src_c = np.take(dense, row_of)
+    dst_c = np.take(dense, graph.indices)
+    w = graph.weights
 
     # --- Lock accounting on the fine (undirected) edges -------------------
-    self_entries = ops.asarray(graph.indices) == row_of
+    self_entries = graph.indices == row_of
     intra_entries = src_c == dst_c
     # Undirected intra edges: non-self intra entries counted twice + selfs.
-    non_self_intra = int(ops.count_nonzero(intra_entries & ~self_entries)) // 2
-    num_self = int(ops.count_nonzero(self_entries))
+    non_self_intra = int(np.count_nonzero(intra_entries & ~self_entries)) // 2
+    num_self = int(np.count_nonzero(self_entries))
     intra_edges = non_self_intra + num_self
-    inter_edges = int(ops.count_nonzero(~intra_entries)) // 2
+    inter_edges = int(np.count_nonzero(~intra_entries)) // 2
     lock_ops = intra_edges + 2 * inter_edges
 
     # Index compresses keep the same entries in the same order as boolean
     # ones, so the sums are the same bits.
     def weight_where(mask) -> float:
-        return float(ops.sum(ops.take(w, ops.flatnonzero(mask))))
+        return float(np.sum(np.take(w, np.flatnonzero(mask))))
 
     intra_weight = (weight_where(intra_entries & ~self_entries) / 2.0
                     + weight_where(self_entries))
@@ -134,20 +128,19 @@ def coarsen(graph: CSRGraph, communities,
 
     # --- Aggregate directed entries by (src community, dst community) -----
     key = src_c * k + dst_c
-    order = ops.argsort_stable(key)
-    key_sorted = ops.take(key, order)
-    w_sorted = ops.take(w, order)
-    starts = ops.run_boundaries(key_sorted)
-    agg_w = (ops.to_numpy(ops.add_reduceat(w_sorted, starts)) if starts.size
-             else numpy_ops.zeros(0, dtype=np.float64))
-    agg_key = ops.to_numpy(ops.take(key_sorted, starts) if starts.size
-                           else key_sorted)
+    order = np.argsort(key, kind="stable")
+    key_sorted = np.take(key, order)
+    w_sorted = np.take(w, order)
+    starts = run_boundaries(key_sorted)
+    agg_w = (np.add.reduceat(w_sorted, starts) if starts.size
+             else np.zeros(0, dtype=np.float64))
+    agg_key = np.take(key_sorted, starts) if starts.size else key_sorted
     agg_src = (agg_key // k).astype(np.int64)
     agg_dst = (agg_key % k).astype(np.int64)
 
-    counts = numpy_ops.bincount(agg_src, minlength=k)
-    indptr = numpy_ops.zeros(k + 1, dtype=np.int64)
-    numpy_ops.cumsum(counts, out=indptr[1:])
+    counts = np.bincount(agg_src, minlength=k)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     coarse = CSRGraph(indptr, agg_dst, agg_w, validate=False)
 
     return CoarsenResult(
@@ -170,8 +163,8 @@ def project_assignment(
     community.  The composition assigns each fine vertex the community of
     its meta-vertex — how the dendrogram is flattened across phases.
     """
-    vertex_to_meta = numpy_ops.asarray(vertex_to_meta)
-    meta_assignment = numpy_ops.asarray(meta_assignment)
+    vertex_to_meta = np.asarray(vertex_to_meta)
+    meta_assignment = np.asarray(meta_assignment)
     if vertex_to_meta.size and (
         vertex_to_meta.max() >= meta_assignment.shape[0] or vertex_to_meta.min() < 0
     ):

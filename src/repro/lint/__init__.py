@@ -21,7 +21,7 @@ This package checks the discipline twice:
   an interprocedural tier (:mod:`repro.lint.callgraph` builds the
   project call graph, :mod:`repro.lint.dataflow` runs a taint/summary
   fixpoint over it, :mod:`repro.lint.iprules` holds the
-  SNAP101/SHM001/LOCK001/QPROTO001/XPA101 rule family), per-rule
+  SNAP101/SHM001/LOCK001/QPROTO001 rule family), per-rule
   severities from ``[tool.repro-lint]`` (:mod:`repro.lint.config`),
   SARIF export (:mod:`repro.lint.sarif`) and a committed-baseline
   workflow for accepted findings;

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Snapshot-discipline linter for the repro codebase: per-"
             "function rules (snapshot writes, unseeded np.random, "
             "accumulator bypasses) plus interprocedural dataflow rules "
-            "(SNAP101/SHM001/LOCK001/QPROTO001/XPA101) over the project "
+            "(SNAP101/SHM001/LOCK001/QPROTO001) over the project "
             "call graph."
         ),
     )

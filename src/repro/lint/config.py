@@ -1,4 +1,4 @@
-"""Per-rule configuration: severities and rule options from pyproject.toml.
+"""Per-rule configuration: severities from pyproject.toml.
 
 Configuration lives under ``[tool.repro-lint]``::
 
@@ -7,11 +7,6 @@ Configuration lives under ``[tool.repro-lint]``::
     [tool.repro-lint.severity]
     DTYPE001 = "warning"      # report, never fail the gate
     DET001 = "off"            # disable entirely
-
-    [tool.repro-lint.xpa101]
-    # Deliberate host-side seams the tier may call into (dotted-name
-    # prefixes); each entry should carry a justification comment.
-    allow = ["repro.graph.csr", "repro.parallel.chunking"]
 
 Severities are ``error`` (default — a new finding fails the run),
 ``warning`` (reported, exit status unaffected) and ``off`` (rule not
@@ -48,9 +43,6 @@ class LintConfig:
 
     #: code -> severity override; unlisted codes default to "error".
     severity: dict[str, str] = field(default_factory=dict)
-    #: XPA101 allowlist: dotted qname prefixes of deliberate host-side
-    #: seams that tier modules may call into.
-    xpa101_allow: tuple[str, ...] = ()
 
     def severity_of(self, code: str) -> str:
         return self.severity.get(code.upper(), "error")
@@ -59,7 +51,7 @@ class LintConfig:
         return self.severity_of(code) != "off"
 
 
-def _validate(severity: dict, allow: list, known_codes) -> None:
+def _validate(severity: dict, known_codes) -> None:
     for code, level in severity.items():
         if known_codes is not None and code not in known_codes:
             raise ConfigError(
@@ -69,12 +61,6 @@ def _validate(severity: dict, allow: list, known_codes) -> None:
             raise ConfigError(
                 f"[tool.repro-lint.severity.{code}]: severity must be one "
                 f"of {SEVERITIES}, got {level!r}"
-            )
-    for entry in allow:
-        if not isinstance(entry, str) or not entry:
-            raise ConfigError(
-                "[tool.repro-lint.xpa101].allow entries must be non-empty "
-                f"dotted-name strings, got {entry!r}"
             )
 
 
@@ -124,9 +110,5 @@ def parse_config(
     severity = {
         str(code).upper(): level for code, level in raw_severity.items()
     }
-    xpa = section.get("xpa101", {})
-    if not isinstance(xpa, dict):
-        raise ConfigError("[tool.repro-lint.xpa101] must be a table")
-    allow = list(xpa.get("allow", []))
-    _validate(severity, allow, known_codes)
-    return LintConfig(severity=severity, xpa101_allow=tuple(allow))
+    _validate(severity, known_codes)
+    return LintConfig(severity=severity)

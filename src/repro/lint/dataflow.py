@@ -13,8 +13,7 @@ The engine answers the questions the interprocedural rules
   untimed ``get()`` is a hang bug no matter what the receiver variable
   is called);
 * *which module globals does each side of a worker fork touch?*
-  (LOCK001) and *which functions make direct ``np.`` array calls?*
-  (XPA101).
+  (LOCK001).
 
 Design: one **local pass** per function computes a
 :class:`FunctionSummary` (parameters written / returned-as-view /
@@ -55,7 +54,6 @@ from repro.lint.rules import (
     _FUNC_NODES,
     _MUTATING_METHODS,
     _SCATTER_FUNCS,
-    _XP_ALLOWED_CALLS,
     _attr_chain,
     _is_numpy,
     _root_name,
@@ -157,8 +155,6 @@ class LocalResult:
     #: name -> (line, col) of one representative site.
     global_reads: dict[str, tuple[int, int]] = field(default_factory=dict)
     global_writes: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: Direct ``np.<fn>`` array calls (XPA001 shape): (line, col, "np.fn").
-    np_calls: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 class _LocalPass:
@@ -404,7 +400,6 @@ class _LocalPass:
         chain = _attr_chain(node.func)
         arg_tokens = [self._tokens(a) for a in node.args]
         kw_tokens = {kw.arg: self._tokens(kw.value) for kw in node.keywords}
-        self._note_np_call(node, chain)
 
         # Laundering copies: x.copy(), np.array(x), x.tolist(), ...
         if (isinstance(node.func, ast.Attribute)
@@ -530,17 +525,6 @@ class _LocalPass:
             elif func.attr == "get" and _get_is_untimed(node):
                 self._emit(Event("untimed_get", self.fn.qname,
                                  node.lineno, node.col_offset, detail=name))
-
-    def _note_np_call(self, node: ast.Call, chain) -> None:
-        if not self.collect or chain is None:
-            return
-        if len(chain) < 2 or not _is_numpy(chain[0]):
-            return
-        if len(chain) == 2 and chain[1] in _XP_ALLOWED_CALLS:
-            return
-        self.result.np_calls.append(
-            (node.lineno, node.col_offset, "np." + ".".join(chain[1:]))
-        )
 
     def _resolve(self, node: ast.Call) -> list[tuple[str, bool]]:
         callees, bound = _resolve_callee(
@@ -740,14 +724,3 @@ class ProjectAnalysis:
             for event in self.results[qname].events:
                 if kind is None or event.kind == kind:
                     yield event
-
-    def np_using(self, qname: str) -> bool:
-        """Does the function itself make direct np array calls?"""
-        result = self.results.get(qname)
-        return bool(result and result.np_calls)
-
-    def np_call_example(self, qname: str) -> "tuple[int, int, str] | None":
-        result = self.results.get(qname)
-        if result and result.np_calls:
-            return result.np_calls[0]
-        return None

@@ -218,7 +218,7 @@ def _project_findings(
     analysis = ProjectAnalysis.build(trees)
     findings: list[Finding] = []
     for rule in rules:
-        for hit in rule.check(analysis, config):
+        for hit in rule.check(analysis):
             finding = _keep(
                 Finding(
                     path=hit.path,

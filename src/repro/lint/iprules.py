@@ -28,12 +28,6 @@ QPROTO001
     untimed ``get()`` on a value the dataflow engine *knows* is a queue
     (whatever the variable is called, across call boundaries), and
     ``put()`` on a queue after ``close()``.
-XPA101
-    Interprocedural closure of XPA001: an array-API-tier module calls a
-    helper outside the tier that (transitively) makes direct ``np.``
-    array calls, re-pinning the kernel to NumPy through the back door.
-    Deliberate host-side seams are allowlisted in
-    ``[tool.repro-lint.xpa101].allow``.
 """
 
 from __future__ import annotations
@@ -41,9 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.dataflow import Event, ProjectAnalysis, _queue_named
-from repro.lint.rules import _ARRAY_API_TIER
 
 __all__ = ["PROJECT_RULES", "ProjectFinding", "ProjectRule"]
 
@@ -67,8 +59,7 @@ class ProjectRule:
     code: str = ""
     description: str = ""
 
-    def check(self, analysis: ProjectAnalysis,
-              config: LintConfig) -> Iterator[ProjectFinding]:
+    def check(self, analysis: ProjectAnalysis) -> Iterator[ProjectFinding]:
         raise NotImplementedError
 
 
@@ -95,7 +86,7 @@ class SnapshotCalleeWriteRule(ProjectRule):
         "SNAP001)"
     )
 
-    def check(self, analysis, config):
+    def check(self, analysis):
         for qname in sorted(analysis.graph.functions):
             fn = analysis.graph.functions[qname]
             snap = fn.snapshot_param_names()
@@ -163,7 +154,7 @@ class ShmEscapeRule(ProjectRule):
             for m in _OWNER_METHODS
         )
 
-    def check(self, analysis, config):
+    def check(self, analysis):
         for event in analysis.events():
             path = _fn_path(analysis, event.qname)
             if "repro/" not in path:
@@ -210,7 +201,7 @@ class ForkSharedStateRule(ProjectRule):
         "or pass state through the queues"
     )
 
-    def check(self, analysis, config):
+    def check(self, analysis):
         graph = analysis.graph
         worker_side = graph.reachable(graph.worker_entries())
         by_module: dict[str, dict[str, list]] = {}
@@ -261,7 +252,7 @@ class QueueProtocolRule(ProjectRule):
         "forever, and put() after close()"
     )
 
-    def check(self, analysis, config):
+    def check(self, analysis):
         for event in analysis.events():
             path = _fn_path(analysis, event.qname)
             if "repro/" not in path:
@@ -291,98 +282,10 @@ class QueueProtocolRule(ProjectRule):
                 )
 
 
-class TierTransitiveNumpyRule(ProjectRule):
-    code = "XPA101"
-    description = (
-        "array-API-tier module calls a helper that transitively makes "
-        "direct np. array calls (interprocedural closure of XPA001); "
-        "route through ops. or allowlist the seam in "
-        "[tool.repro-lint.xpa101]"
-    )
-
-    @staticmethod
-    def _in_tier(path: str) -> bool:
-        return any(path.endswith(mod) for mod in _ARRAY_API_TIER)
-
-    @staticmethod
-    def _allowed(qname: str, allow: tuple[str, ...]) -> bool:
-        return any(
-            qname == entry or qname.startswith(entry + ".")
-            for entry in allow
-        )
-
-    def _np_sink(self, analysis, start: str,
-                 allow) -> "tuple[str, tuple[str, ...]] | None":
-        """BFS from ``start`` to the nearest np-using function.
-
-        Allowlisted and tier functions terminate the search: the former
-        are sanctioned seams, the latter are checked at their own call
-        sites (and by XPA001 for direct calls).
-        """
-        graph = analysis.graph
-        prev: dict[str, str] = {}
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt: list[str] = []
-            for q in frontier:
-                if self._allowed(q, allow) or self._in_tier(
-                        _fn_path(analysis, q)):
-                    continue
-                if analysis.np_using(q):
-                    out = [q]
-                    while out[-1] != start:
-                        out.append(prev[out[-1]])
-                    return q, tuple(reversed(out))
-                for site in graph.calls_from(q):
-                    if site.callee not in seen:
-                        seen.add(site.callee)
-                        prev[site.callee] = q
-                        nxt.append(site.callee)
-            frontier = nxt
-        return None
-
-    def check(self, analysis, config):
-        allow = config.xpa101_allow
-        graph = analysis.graph
-        seen: set[tuple] = set()
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            if not self._in_tier(fn.path):
-                continue
-            for site in graph.calls_from(qname):
-                callee_path = _fn_path(analysis, site.callee)
-                if self._in_tier(callee_path):
-                    continue
-                if self._allowed(site.callee, allow):
-                    continue
-                hit = self._np_sink(analysis, site.callee, allow)
-                if hit is None:
-                    continue
-                sink, path = hit
-                key = (fn.path, site.line, site.col, site.callee)
-                if key in seen:
-                    continue
-                seen.add(key)
-                example = analysis.np_call_example(sink)
-                call = example[2] if example else "np.<...>"
-                yield ProjectFinding(
-                    fn.path, site.line, site.col, self.code,
-                    f"tier module calls {_short(site.callee)}, which "
-                    f"reaches a direct {call} call in {_short(sink)} "
-                    f"(via {_via((qname,) + path)}); route the helper "
-                    "through the ArrayOps handle or allowlist the seam "
-                    "in [tool.repro-lint.xpa101].allow with a "
-                    "justification",
-                    call_path=(qname,) + path,
-                )
-
-
 #: Registry, in reporting order.
 PROJECT_RULES: tuple[ProjectRule, ...] = (
     SnapshotCalleeWriteRule(),
     ShmEscapeRule(),
     ForkSharedStateRule(),
     QueueProtocolRule(),
-    TierTransitiveNumpyRule(),
 )

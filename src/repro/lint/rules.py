@@ -58,15 +58,6 @@ OBS002
     and dashboards greppable (docs/observability.md).  F-string names
     are checked on their static fragments (each must stay within
     ``[a-z0-9_.]``); fully dynamic names are skipped.
-XPA001
-    Direct ``np.<fn>(...)`` calls in the array-API-tier kernel modules
-    (``core/{sweep,workspace,gain,modularity,batch}.py``,
-    ``graph/{coarsen,batch}.py``) — array work there flows through an
-    :class:`repro.backends.ArrayOps` handle (``ops.<fn>``, or the
-    ``numpy_ops`` singleton for deliberately host-side steps), so the
-    kernels stay dispatchable to non-NumPy namespaces.  Dtype/scalar
-    constructors and dtype inspection (``np.int64``, ``np.dtype``,
-    ``np.issubdtype``, …) are allowed — they carry no array data.
 
 Generic rules
 -------------
@@ -781,60 +772,6 @@ class BareAssertRule(Rule):
                 )
 
 
-#: Kernel-tier modules ported to the array-API dispatch layer
-#: (:mod:`repro.backends`) — array work in them flows through an
-#: :class:`~repro.backends.ArrayOps` handle, never raw ``np.`` calls.
-_ARRAY_API_TIER = (
-    "repro/core/sweep.py",
-    "repro/core/workspace.py",
-    "repro/core/gain.py",
-    "repro/core/modularity.py",
-    "repro/core/batch.py",
-    "repro/graph/coarsen.py",
-    "repro/graph/batch.py",
-)
-
-#: ``np.<fn>`` calls that stay legitimate in tier modules: dtype/scalar
-#: constructors and dtype inspection carry no array data and have no
-#: ArrayOps equivalent (non-NumPy branches use ``ops.isdtype`` etc.).
-_XP_ALLOWED_CALLS = frozenset({
-    "dtype", "issubdtype", "isdtype", "result_type", "promote_types",
-    "iinfo", "finfo", "bool_", "int8", "int16", "int32", "int64",
-    "uint8", "uint16", "uint32", "uint64", "float16", "float32",
-    "float64", "intp",
-})
-
-
-class ArrayApiTierRule(Rule):
-    code = "XPA001"
-    description = (
-        "direct np. call in an array-API-tier kernel module; route array "
-        "work through the ArrayOps backend handle (repro.backends)"
-    )
-
-    def applies(self, ctx):
-        return any(ctx.endswith(mod) for mod in _ARRAY_API_TIER)
-
-    def check(self, tree, ctx):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if chain is None or len(chain) < 2 or not _is_numpy(chain[0]):
-                continue
-            # np.<fn>(...) and np.<obj>.<method>(...) alike (np.add.at);
-            # the allowlist only covers the plain two-part form.
-            if len(chain) == 2 and chain[1] in _XP_ALLOWED_CALLS:
-                continue
-            yield RuleFinding(
-                node.lineno, node.col_offset, self.code,
-                f"direct np.{'.'.join(chain[1:])} call in array-API-tier "
-                "module; use the ArrayOps handle (ops.<fn> / numpy_ops.<fn> "
-                "for deliberate host-side work) so non-NumPy backends "
-                "stay dispatchable",
-            )
-
-
 #: allocation → index of the positional argument that would carry dtype.
 _ALLOC_DTYPE_POS = {"zeros": 1, "empty": 1, "full": 2}
 
@@ -886,7 +823,6 @@ RULES: tuple[Rule, ...] = (
     MutableDefaultRule(),
     BareAssertRule(),
     MissingDtypeRule(),
-    ArrayApiTierRule(),
 )
 
 

@@ -10,9 +10,10 @@ gate that catches a perf regression before a human reads a number.
 
 Comparison is **provenance-aware**: records carry ``commit``, ``date``
 and ``backend`` stamps.  A commit/date mismatch is expected for a fresh
-run and merely noted; a **backend** mismatch (NumPy vs CuPy vs torch)
-makes wall-clock comparison meaningless, so such pairs are skipped with
-a note instead of judged.
+run and merely noted; a **backend** mismatch (records from different
+array libraries) makes wall-clock comparison meaningless, so such pairs
+are skipped with a note instead of judged.  Records written here always
+stamp ``"numpy"``.
 
 Per matched record pair two checks run:
 
@@ -202,11 +203,11 @@ def compare_records(committed: list[dict], fresh: list[dict], *,
 # ---------------------------------------------------------------------------
 
 def _provenance() -> dict:
-    """The ``commit``/``date``/``backend`` stamp for rerun records."""
+    """The ``commit``/``date``/``backend`` stamp for rerun records
+    (``backend`` is always ``"numpy"``, the stamp the committed records
+    carry)."""
     import datetime
     import subprocess
-
-    from repro.backends import backend_default
 
     try:
         commit = subprocess.run(
@@ -216,7 +217,7 @@ def _provenance() -> dict:
     except (subprocess.CalledProcessError, OSError):
         commit = "unknown"
     date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    return {"commit": commit, "date": date, "backend": backend_default()}
+    return {"commit": commit, "date": date, "backend": "numpy"}
 
 
 def _build_graph(spec):

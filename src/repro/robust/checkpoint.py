@@ -69,7 +69,9 @@ __all__ = [
 CHECKPOINT_FORMAT_VERSION = 1
 
 #: Config fields that select execution mechanics, not the result — a
-#: checkpoint from any of them resumes under any other.
+#: checkpoint from any of them resumes under any other.  ``array_backend``
+#: is no longer a field, but older checkpoints store it in their
+#: ``config_json``; excluding it keeps their fingerprints unchanged.
 NONSEMANTIC_CONFIG_FIELDS = frozenset({
     "backend", "num_threads", "sanitize", "trace", "fault_plan", "budget",
     "array_backend", "profile", "metrics_ring",

@@ -172,7 +172,7 @@ def _run_job(job_id: str, spec: JobSpec, spool: str) -> "tuple[str, dict]":
         # ``budget`` is a nonsemantic field, so the checkpoint
         # fingerprint (and thus resumability) is unchanged.
         fields["budget"] = {"handle_signals": True}
-    config = LouvainConfig(**fields)
+    config = LouvainConfig.from_dict(fields)
     start = monotonic()
     result = louvain(graph=resolve_graph_ref(spec.graph), config=config,
                      checkpoint=ckpt_path, resume=resume)

@@ -311,10 +311,7 @@ class JobService:
         # discarded; the worker rebuilds (and revalidates) its own.
         from repro.core.config import LouvainConfig
 
-        try:
-            LouvainConfig(**spec.config_fields())
-        except TypeError as exc:  # unknown field names
-            raise ValidationError(f"bad job config: {exc}") from None
+        LouvainConfig.from_dict(spec.config_fields())
         with self._lock:
             if idempotency_key is not None:
                 # Re-check under the same hold that registers the key: a

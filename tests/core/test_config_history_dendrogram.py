@@ -1,5 +1,7 @@
 """Unit tests for configuration, history records and the dendrogram."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,34 @@ class TestConfig:
         cfg = LouvainConfig()
         with pytest.raises(AttributeError):
             cfg.use_vf = True
+
+
+class TestConfigFromDict:
+    def test_round_trips_asdict(self):
+        cfg = HeuristicVariant.BASELINE_VF.config(resolution=0.7,
+                                                  budget={"max_phases": 2})
+        assert LouvainConfig.from_dict(asdict(cfg)) == cfg
+
+    def test_legacy_numpy_array_backend_is_dropped(self):
+        fields = asdict(LouvainConfig())
+        fields["array_backend"] = "numpy"
+        assert LouvainConfig.from_dict(fields) == LouvainConfig()
+        assert "array_backend" in fields  # the caller's dict is untouched
+
+    @pytest.mark.parametrize("value", ["cupy", "torch", "NumPy", None])
+    def test_other_array_backend_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="array_backend"):
+            LouvainConfig.from_dict({"array_backend": value})
+
+    def test_unknown_field_is_rejected(self):
+        with pytest.raises(ValidationError, match="warp_factor"):
+            LouvainConfig.from_dict({"use_vf": True, "warp_factor": 9})
+
+    def test_wrong_value_type_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            LouvainConfig.from_dict({"colored_threshold": "high"})
+        with pytest.raises(ValidationError):
+            LouvainConfig.from_dict({"budget": {"warp_factor": 9}})
 
 
 def _record(phase=0, iteration=0, q=0.5, moved=3, comms=10,

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import sparse
 
-from repro.backends import available_backends
 from repro.core.driver import louvain
 from repro.core.sweep import (
     SweepState,
@@ -236,21 +235,15 @@ class TestTargetsMatchOracle:
     @given(case=sweep_cases(), mode=st.sampled_from(MODES),
            use_min_label=st.booleans(),
            resolution=st.sampled_from([1.0, 0.5, 2.0, 1.3]),
-           with_workspace=st.booleans(),
-           backend=st.sampled_from(available_backends()))
+           with_workspace=st.booleans())
     def test_targets(self, case, mode, use_min_label, resolution,
-                     with_workspace, backend):
-        """Every installed array backend runs the same tail; off NumPy,
-        the matmul mode resolves to the sort path."""
+                     with_workspace):
         graph, state, frontier = case
-        on_numpy = backend == "numpy"
-        oracle_mode = "sort" if mode == "matmul" and not on_numpy else mode
-        expected = oracle_targets(graph, state, frontier, mode=oracle_mode,
+        expected = oracle_targets(graph, state, frontier, mode=mode,
                                   use_min_label=use_min_label,
                                   resolution=resolution)
-        workspace = (SweepWorkspace(graph, aggregation=mode,
-                                    array_backend=backend)
-                     if with_workspace or not on_numpy else None)
+        workspace = (SweepWorkspace(graph, aggregation=mode)
+                     if with_workspace else None)
         got = compute_targets_vectorized(
             graph, state, frontier, use_min_label=use_min_label,
             resolution=resolution, workspace=workspace, aggregation=mode)

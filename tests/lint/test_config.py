@@ -13,7 +13,7 @@ from repro.lint.config import (
     parse_config,
 )
 
-KNOWN = frozenset({"SNAP101", "XPA101", "DTYPE001"})
+KNOWN = frozenset({"SNAP101", "DTYPE001"})
 
 
 def parse(toml: str) -> LintConfig:
@@ -25,8 +25,7 @@ def parse(toml: str) -> LintConfig:
 class TestParsing:
     def test_empty_pyproject_gives_defaults(self):
         config = parse("[project]\nname = 'x'\n")
-        assert config.severity_of("SNAP101") == "error"
-        assert config.xpa101_allow == ()
+        assert config == LintConfig()
 
     def test_severity_overrides(self):
         config = parse("""
@@ -36,7 +35,7 @@ class TestParsing:
         """)
         assert config.severity_of("DTYPE001") == "warning"
         assert not config.enabled("SNAP101")
-        assert config.severity_of("XPA101") == "error"
+        assert config.severity_of("QPROTO001") == "error"
 
     def test_lowercase_code_is_normalized(self):
         config = parse("""
@@ -44,15 +43,6 @@ class TestParsing:
             dtype001 = "warning"
         """)
         assert config.severity_of("DTYPE001") == "warning"
-
-    def test_xpa_allowlist(self):
-        config = parse("""
-            [tool.repro-lint.xpa101]
-            allow = ["repro.graph.csr", "repro.utils.arrays.renumber_labels"]
-        """)
-        assert config.xpa101_allow == (
-            "repro.graph.csr", "repro.utils.arrays.renumber_labels",
-        )
 
     def test_unknown_code_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown rule code"):
@@ -66,13 +56,6 @@ class TestParsing:
             parse("""
                 [tool.repro-lint.severity]
                 SNAP101 = "loud"
-            """)
-
-    def test_bad_allow_entry_is_rejected(self):
-        with pytest.raises(ConfigError, match="dotted-name"):
-            parse("""
-                [tool.repro-lint.xpa101]
-                allow = [3]
             """)
 
 
@@ -94,11 +77,11 @@ class TestDiscovery:
     def test_direct_file_path(self, tmp_path):
         target = tmp_path / "pyproject.toml"
         target.write_text(textwrap.dedent("""
-            [tool.repro-lint.xpa101]
-            allow = ["repro.graph.csr"]
+            [tool.repro-lint.severity]
+            SNAP101 = "off"
         """), encoding="utf-8")
         config = load_config(target, known_codes=KNOWN)
-        assert config.xpa101_allow == ("repro.graph.csr",)
+        assert not config.enabled("SNAP101")
 
     def test_repo_pyproject_parses_with_all_registered_codes(self):
         # The committed configuration must load against the real rule
@@ -113,4 +96,4 @@ class TestDiscovery:
         config = parse_config(
             (root / "pyproject.toml").read_bytes(), known_codes=known
         )
-        assert "repro.graph.csr" in config.xpa101_allow
+        assert config == LintConfig()

@@ -326,22 +326,3 @@ class TestGlobalsAndNumpy:
                 return _CACHE
         """)
         assert "_CACHE" not in an.results[Q + "local"].global_writes
-
-    def test_np_calls_are_collected(self):
-        an = analyze(mod="""
-            import numpy as np
-
-            def f(xs):
-                return np.asarray(xs)
-        """)
-        assert an.np_using(Q + "f")
-        assert an.np_call_example(Q + "f")[2] == "np.asarray"
-
-    def test_dtype_constructors_are_not_np_array_calls(self):
-        an = analyze(mod="""
-            import numpy as np
-
-            def f():
-                return np.dtype("int64"), np.int64(3)
-        """)
-        assert not an.np_using(Q + "f")

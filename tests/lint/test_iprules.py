@@ -349,129 +349,6 @@ class TestQproto001:
 
 
 # ---------------------------------------------------------------------------
-# XPA101 — transitive np. usage from tier modules
-# ---------------------------------------------------------------------------
-class TestXpa101:
-    def test_helper_with_np_call_triggers(self):
-        found = multi_codes(
-            config=None,
-            helpers="""
-                import numpy as np
-
-                def renumber(labels):
-                    return np.unique(labels)
-            """,
-        )
-        # helper alone is fine — the finding needs a tier-module caller:
-        assert "XPA101" not in found
-        files = {
-            "repro/utils/helpers.py": textwrap.dedent("""
-                import numpy as np
-
-                def renumber(labels):
-                    return np.unique(labels)
-            """),
-            "repro/core/sweep.py": textwrap.dedent("""
-                from repro.utils.helpers import renumber
-
-                def compute(ops, labels):
-                    return renumber(labels)
-            """),
-        }
-        assert "XPA101" in [f.code for f in lint_sources(files)]
-
-    def test_two_hops_deep_triggers(self):
-        files = {
-            "repro/utils/deep.py": textwrap.dedent("""
-                import numpy as np
-
-                def inner(xs):
-                    return np.asarray(xs)
-
-                def outer(xs):
-                    return inner(xs)
-            """),
-            "repro/core/sweep.py": textwrap.dedent("""
-                from repro.utils.deep import outer
-
-                def compute(ops, xs):
-                    return outer(xs)
-            """),
-        }
-        assert "XPA101" in [f.code for f in lint_sources(files)]
-
-    def test_allowlisted_seam_is_fine(self):
-        files = {
-            "repro/utils/helpers.py": textwrap.dedent("""
-                import numpy as np
-
-                def renumber(labels):
-                    return np.unique(labels)
-            """),
-            "repro/core/sweep.py": textwrap.dedent("""
-                from repro.utils.helpers import renumber
-
-                def compute(ops, labels):
-                    return renumber(labels)
-            """),
-        }
-        config = LintConfig(
-            xpa101_allow=("repro.utils.helpers.renumber",)
-        )
-        found = [f.code for f in lint_sources(files, config=config)]
-        assert "XPA101" not in found
-
-    def test_np_free_helper_is_fine(self):
-        files = {
-            "repro/utils/helpers.py": textwrap.dedent("""
-                def span(lo, hi):
-                    return hi - lo
-            """),
-            "repro/core/sweep.py": textwrap.dedent("""
-                from repro.utils.helpers import span
-
-                def compute(ops, lo, hi):
-                    return span(lo, hi)
-            """),
-        }
-        assert "XPA101" not in [f.code for f in lint_sources(files)]
-
-    def test_non_tier_caller_is_fine(self):
-        files = {
-            "repro/utils/helpers.py": textwrap.dedent("""
-                import numpy as np
-
-                def renumber(labels):
-                    return np.unique(labels)
-            """),
-            "repro/parallel/driver.py": textwrap.dedent("""
-                from repro.utils.helpers import renumber
-
-                def run(labels):
-                    return renumber(labels)
-            """),
-        }
-        assert "XPA101" not in [f.code for f in lint_sources(files)]
-
-    def test_dtype_only_helper_is_fine(self):
-        files = {
-            "repro/utils/helpers.py": textwrap.dedent("""
-                import numpy as np
-
-                def widen(x):
-                    return np.dtype("int64")
-            """),
-            "repro/core/sweep.py": textwrap.dedent("""
-                from repro.utils.helpers import widen
-
-                def compute(ops, x):
-                    return widen(x)
-            """),
-        }
-        assert "XPA101" not in [f.code for f in lint_sources(files)]
-
-
-# ---------------------------------------------------------------------------
 # Engine integration: noqa and severity apply to project rules too
 # ---------------------------------------------------------------------------
 class TestEngineIntegration:

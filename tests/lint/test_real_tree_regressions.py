@@ -20,7 +20,7 @@ from repro.lint.config import LintConfig
 from repro.lint.engine import lint_sources
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-IP_CODES = ("SNAP101", "SHM001", "LOCK001", "QPROTO001", "XPA101")
+IP_CODES = ("SNAP101", "SHM001", "LOCK001", "QPROTO001")
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +36,7 @@ def real_sources() -> dict[str, str]:
 
 
 def ip_findings(files, config=None):
-    config = config or LintConfig(
-        # Mirror the committed pyproject seams so only genuine
-        # regressions surface (tested separately in test_config.py).
-        xpa101_allow=(
-            "repro.graph.csr",
-            "repro.utils.arrays.renumber_labels",
-            "repro.parallel.chunking",
-        ),
-    )
+    config = config or LintConfig()
     return [
         f for f in lint_sources(files, config=config) if f.code in IP_CODES
     ]

@@ -704,87 +704,3 @@ class TestSleepWithoutDeadlineRule:
                     time.sleep(1.0)
         """
         assert codes(source, "tests/fixture.py") == []
-
-
-# ---------------------------------------------------------------------------
-# XPA001 — direct np. calls in array-API-tier kernel modules
-# ---------------------------------------------------------------------------
-class TestArrayApiTierRule:
-    TIER = "src/repro/core/sweep.py"
-
-    def test_direct_numpy_call_triggers(self):
-        bad = """
-            import numpy as np
-
-            def kernel(a):
-                return np.bincount(a)
-        """
-        assert "XPA001" in codes(bad, self.TIER)
-
-    def test_ufunc_method_chain_triggers(self):
-        bad = """
-            import numpy as np
-
-            def kernel(out, idx, vals):
-                np.add.at(out, idx, vals)
-        """
-        assert "XPA001" in codes(bad, self.TIER)
-
-    def test_every_tier_module_is_covered(self):
-        bad = """
-            import numpy as np
-
-            def kernel(a):
-                return np.argsort(a)
-        """
-        for path in (
-            "src/repro/core/sweep.py",
-            "src/repro/core/workspace.py",
-            "src/repro/core/gain.py",
-            "src/repro/core/modularity.py",
-            "src/repro/core/batch.py",
-            "src/repro/graph/coarsen.py",
-            "src/repro/graph/batch.py",
-        ):
-            assert "XPA001" in codes(bad, path), path
-
-    def test_ops_handle_passes(self):
-        good = """
-            from repro.backends import numpy_ops
-
-            def kernel(a, ops):
-                ops.put(a, 0, 1)
-                return numpy_ops.bincount(a)
-        """
-        assert codes(good, self.TIER) == []
-
-    def test_dtype_constructors_pass(self):
-        good = """
-            import numpy as np
-
-            def kernel(a):
-                if np.issubdtype(a.dtype, np.integer):
-                    return np.int64(0), np.dtype(np.float32)
-                return np.finfo(np.float64).eps
-        """
-        assert codes(good, self.TIER) == []
-
-    def test_dtype_references_pass(self):
-        good = """
-            import numpy as np
-            from repro.backends import numpy_ops
-
-            def kernel(n):
-                return numpy_ops.zeros(n, dtype=np.int64)
-        """
-        assert codes(good, self.TIER) == []
-
-    def test_non_tier_module_is_exempt(self):
-        source = """
-            import numpy as np
-
-            def helper(a):
-                return np.bincount(a)
-        """
-        assert codes(source, "src/repro/core/phase.py") == []
-        assert codes(source, "src/repro/graph/csr.py") == []

@@ -1,5 +1,7 @@
 """Checkpoint persistence and interrupt/resume equivalence on all pipelines."""
 
+import dataclasses
+import json
 import multiprocessing as mp
 import zipfile
 
@@ -7,14 +9,17 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.config import HeuristicVariant, LouvainConfig
 from repro.core.driver import louvain
 from repro.distributed.louvain_dist import distributed_louvain
 from repro.graph.generators import planted_partition
 from repro.robust.checkpoint import (
     DIGEST_KEY,
+    NONSEMANTIC_CONFIG_FIELDS,
     Checkpoint,
     config_fingerprint,
     describe_checkpoint,
+    fingerprint_dict,
     load_checkpoint,
     save_checkpoint,
 )
@@ -298,3 +303,81 @@ class TestCheckpointCLI:
     def test_inspect_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="error"):
             main(["robust", "inspect", str(tmp_path / "nope.ckpt.npz")])
+
+    def _legacy_checkpoint(self, tmp_path, monkeypatch, extra_field):
+        """A CLI checkpoint whose ``config_json`` has the shape versions
+        with an ``array_backend`` field wrote (``asdict(cfg)``, the field
+        right after ``backend``), plus ``extra_field``; the full run's
+        labels alongside."""
+        ckpt = tmp_path / "run.ckpt.npz"
+        full_labels = tmp_path / "full.labels"
+        base = ["detect", "--dataset", "CNR", "--scale", "0.05",
+                "--seed", "1"]
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        main(base + ["--output", str(full_labels)])
+        monkeypatch.setenv("REPRO_FAULTS", "raise:phase=1,sweep=0")
+        with pytest.raises(FaultInjected):
+            main(base + ["--checkpoint", str(ckpt)])
+        monkeypatch.delenv("REPRO_FAULTS")
+        stored = load_checkpoint(ckpt)
+        legacy = {}
+        for key, value in json.loads(stored.config_json).items():
+            legacy[key] = value
+            if key == "backend":
+                legacy["array_backend"] = "numpy"
+        legacy.update(extra_field)
+        save_checkpoint(ckpt, dataclasses.replace(
+            stored, config_json=json.dumps(legacy)))
+        return ckpt, full_labels
+
+    def test_resume_of_legacy_config(self, tmp_path, monkeypatch):
+        ckpt, full_labels = self._legacy_checkpoint(tmp_path, monkeypatch,
+                                                    {})
+        assert '"array_backend": "numpy"' in load_checkpoint(ckpt).config_json
+        resumed_labels = tmp_path / "resumed.labels"
+        main(["robust", "resume", str(ckpt),
+              "--dataset", "CNR", "--scale", "0.05", "--seed", "1",
+              "--output", str(resumed_labels)])
+        np.testing.assert_array_equal(
+            np.loadtxt(resumed_labels), np.loadtxt(full_labels)
+        )
+
+    def test_resume_with_unknown_config_field_errors(self, tmp_path,
+                                                     monkeypatch):
+        ckpt, _ = self._legacy_checkpoint(tmp_path, monkeypatch,
+                                          {"warp_factor": 9})
+        with pytest.raises(SystemExit, match="error: .*warp_factor"):
+            main(["robust", "resume", str(ckpt),
+                  "--dataset", "CNR", "--scale", "0.05", "--seed", "1"])
+
+
+#: ``config_fingerprint`` of the default config and the three §6.1
+#: presets, recorded when ``LouvainConfig`` still had an
+#: ``array_backend`` field: checkpoints stored then must still pass the
+#: fingerprint check on resume.
+PINNED_FINGERPRINTS = {
+    "default": "d305d3dee7c5ef5cee599e3c3297408ecf2c1c6c",
+    "baseline": "d305d3dee7c5ef5cee599e3c3297408ecf2c1c6c",
+    "baseline+VF": "f4bb9d689678406c294a50fe4b32d92820d065c6",
+    "baseline+VF+Color": "bbb81993fe448ee4afc77b944c151251d5a5fa20",
+}
+
+
+class TestFingerprintPins:
+    @staticmethod
+    def _config(name):
+        if name == "default":
+            return LouvainConfig()
+        return HeuristicVariant(name).config()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprint_is_pinned(self, name):
+        assert (config_fingerprint(self._config(name))
+                == PINNED_FINGERPRINTS[name])
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_stored_legacy_dict_fingerprints_the_same(self, name):
+        stored = dataclasses.asdict(self._config(name))
+        stored["array_backend"] = "numpy"
+        assert (fingerprint_dict(stored, exclude=NONSEMANTIC_CONFIG_FIELDS)
+                == PINNED_FINGERPRINTS[name])

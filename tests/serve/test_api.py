@@ -85,6 +85,8 @@ class TestErrorStatuses:
         for spec in ({"config": {}},                        # no graph
                      {"graph": FAST_REF, "surprise": 1},    # unknown field
                      {"graph": FAST_REF,
+                      "config": {"surprise": 1}},           # unknown config field
+                     {"graph": FAST_REF,
                       "config": {"kernel": "warp-drive"}}):
             with pytest.raises(ServeAPIError) as exc:
                 client.submit(spec)

@@ -260,6 +260,41 @@ class TestRestartStateCarryover:
             np.asarray(result["communities"]), direct.communities
         )
 
+    def test_replayed_config_fields_are_checked_once(self, tmp_path):
+        """WAL specs skip submit-time validation: a legacy NumPy
+        ``array_backend`` still runs, and an unknown field fails
+        permanently on its first attempt instead of being retried."""
+        spool = str(tmp_path / "spool")
+        first = JobService(spool, wal=True)
+        legacy = first.submit({"graph": FAST_REF, "max_attempts": 3,
+                               "config": {"max_phases": 32}})
+        unknown = first.submit({"graph": FAST_REF, "max_attempts": 3,
+                                "config": {"max_phases": 31}})
+        self._abandon(first)
+        wal = os.path.join(spool, "serve.wal")
+        with open(wal, encoding="utf-8") as fh:
+            text = fh.read()
+        text = text.replace('"max_phases":32', '"array_backend":"numpy"')
+        text = text.replace('"max_phases":31', '"warp_factor":9')
+        with open(wal, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        second = JobService(spool, wal=True, policy=one_worker())
+        try:
+            second.start()
+            done = wait_terminal(second, legacy)
+            failed = wait_terminal(second, unknown)
+            result = second.result(legacy)
+        finally:
+            second.stop()
+        assert done["status"] == JobStatus.DONE
+        np.testing.assert_array_equal(
+            np.asarray(result["communities"]),
+            louvain(resolve_graph_ref(FAST_REF)).communities,
+        )
+        assert failed["status"] == JobStatus.FAILED
+        assert failed["attempts"] == 1
+        assert "warp_factor" in failed["error"]
+
     def test_torn_wal_tail_tolerated_and_counted(self, tmp_path):
         spool = str(tmp_path / "spool")
         first = JobService(spool, wal=True)

@@ -368,7 +368,13 @@ class TestSpecValidationAtSubmit:
                         "config": {"kernel": "warp-drive"}})
         with pytest.raises(ValidationError):
             svc.submit({"graph": GRAPH_REF, "config": {"no_such_field": 1}})
+        with pytest.raises(ValidationError, match="array_backend"):
+            svc.submit({"graph": GRAPH_REF,
+                        "config": {"array_backend": "cupy"}})
         assert svc.broker.depth() == 0  # nothing half-accepted
+        # A config stored by a version that had the field, naming NumPy:
+        svc.submit({"graph": GRAPH_REF, "config": {"array_backend": "numpy"}})
+        assert svc.broker.depth() == 1
         svc.stop()
 
     def test_spec_instance_accepted(self, service):
