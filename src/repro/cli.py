@@ -81,44 +81,15 @@ def _load_json_file(path: str):
         raise _input_error(f"{path}: not a text file")
 
 
-def _detect_format(path: str, fmt: str = "auto") -> str:
-    if fmt != "auto":
-        return fmt
-    lowered = path.lower()
-    if lowered.endswith((".npz", ".csrz")):
-        return "csrz"
-    if lowered.endswith((".metis", ".graph")):
-        return "metis"
-    if lowered.endswith((".mtx", ".mtx.gz")):
-        return "mtx"
-    return "edgelist"
-
-
-def _read_graph_file(path: str, fmt: str):
-    from repro.graph.io import (
-        load_csrz,
-        read_edge_list,
-        read_matrix_market,
-        read_metis,
-    )
-
-    readers = {
-        "edgelist": read_edge_list,
-        "metis": read_metis,
-        "mtx": read_matrix_market,
-        "csrz": load_csrz,
-    }
-    return readers[_detect_format(path, fmt)](path)
-
-
 def _load_graph(args):
     from repro.datasets.catalog import load_dataset
+    from repro.graph.io import read_graph
 
     if args.dataset:
         return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if not args.path:
         raise SystemExit("error: pass a graph file or --dataset NAME")
-    return _read_graph_file(args.path, args.format)
+    return read_graph(args.path, args.format)
 
 
 def _cmd_detect(args) -> int:
@@ -260,14 +231,17 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convert(args) -> int:
     from repro.graph.io import (
+        detect_format,
+        read_graph,
         save_csrz,
         write_edge_list,
         write_matrix_market,
         write_metis,
     )
 
-    graph = _read_graph_file(args.input, args.input_format)
-    out_fmt = _detect_format(args.output, args.output_format)
+    graph = read_graph(args.input, args.input_format)
+    out_fmt = (detect_format(args.output) if args.output_format == "auto"
+               else args.output_format)
     writers = {
         "edgelist": write_edge_list,
         "metis": write_metis,

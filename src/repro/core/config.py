@@ -210,7 +210,11 @@ class LouvainConfig:
         if isinstance(self.budget, dict):
             # Frozen dataclass: asdict()/JSON round trips hand the budget
             # back as a plain dict (checkpoint config_json, CLI resume).
-            object.__setattr__(self, "budget", RunBudget(**self.budget))
+            try:
+                budget = RunBudget(**self.budget)
+            except TypeError as exc:  # an unknown field or a wrong type
+                raise ValidationError(f"bad budget: {exc}") from None
+            object.__setattr__(self, "budget", budget)
         elif self.budget is not None and not isinstance(self.budget,
                                                         RunBudget):
             raise ValidationError(

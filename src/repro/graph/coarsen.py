@@ -16,7 +16,7 @@ The implementation follows the paper's three steps:
       paper's locked OpenMP version), inter-community entries onto both
       endpoint meta-vertices ("two locks").
 
-Steps (ii)–(iii) are one vectorized sort-and-segment-reduce pass here; the
+Steps (ii)–(iii) are two counting transposes and one segment reduce here; the
 per-edge lock counts the OpenMP implementation would have issued are still
 tallied because the simulated-machine cost model charges rebuild contention
 with them (Figs 8–9).
@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
 from repro.graph.csr import CSRGraph
-from repro.utils.arrays import renumber_labels, run_boundaries
+from repro.utils.arrays import renumber_labels
 from repro.utils.errors import ValidationError
 
 __all__ = ["CoarsenResult", "coarsen", "project_assignment"]
@@ -74,6 +75,22 @@ class CoarsenResult:
     lock_ops: int
 
 
+def _transpose(num_rows: int, num_cols: int, indptr, cols, data):
+    """A CSR block's transpose, by SciPy's C ``csr_tocsc``.
+
+    A counting sort: entries are bucketed by column, and within a bucket
+    keep their row-major order.  The C routine indexes the buckets
+    without bounds checks, so ``cols`` must lie in ``[0, num_cols)``;
+    ``indptr`` and ``cols`` share one index dtype.
+    """
+    out_ptr = np.empty(num_cols + 1, dtype=indptr.dtype)
+    out_rows = np.empty(cols.size, dtype=indptr.dtype)
+    out_data = np.empty(cols.size, dtype=data.dtype)
+    _csr_tocsc(num_rows, num_cols, indptr, cols, data,
+               out_ptr, out_rows, out_data)
+    return out_ptr, out_rows, out_data
+
+
 def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
     """Collapse ``graph`` along a community assignment.
 
@@ -101,20 +118,21 @@ def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
         raise ValidationError("communities must be integers")
 
     dense, k = renumber_labels(comm)
-
-    row_of = graph.row_of_entry()
-    src_c = np.take(dense, row_of)
-    dst_c = np.take(dense, graph.indices)
     w = graph.weights
+    nnz = w.size
+    idx = np.int32 if max(n, k, nnz) <= np.iinfo(np.int32).max else np.int64
+    dense_idx = dense.astype(idx)
+    src_c = np.repeat(dense_idx, np.diff(graph.indptr))
+    dst_c = np.take(dense_idx, graph.indices)
 
     # --- Lock accounting on the fine (undirected) edges -------------------
-    self_entries = graph.indices == row_of
+    # A self-loop entry is always intra-community.
     intra_entries = src_c == dst_c
+    num_intra = int(np.count_nonzero(intra_entries))
+    num_self = graph.num_self_loops
     # Undirected intra edges: non-self intra entries counted twice + selfs.
-    non_self_intra = int(np.count_nonzero(intra_entries & ~self_entries)) // 2
-    num_self = int(np.count_nonzero(self_entries))
-    intra_edges = non_self_intra + num_self
-    inter_edges = int(np.count_nonzero(~intra_entries)) // 2
+    intra_edges = (num_intra - num_self) // 2 + num_self
+    inter_edges = (nnz - num_intra) // 2
     lock_ops = intra_edges + 2 * inter_edges
 
     # Index compresses keep the same entries in the same order as boolean
@@ -122,26 +140,31 @@ def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
     def weight_where(mask) -> float:
         return float(np.sum(np.take(w, np.flatnonzero(mask))))
 
-    intra_weight = (weight_where(intra_entries & ~self_entries) / 2.0
-                    + weight_where(self_entries))
+    if num_self:
+        self_entries = graph.indices == graph.row_of_entry()
+        intra_weight = (weight_where(intra_entries & ~self_entries) / 2.0
+                        + weight_where(self_entries))
+    else:
+        intra_weight = weight_where(intra_entries) / 2.0
     inter_weight = weight_where(~intra_entries) / 2.0
 
     # --- Aggregate directed entries by (src community, dst community) -----
-    key = src_c * k + dst_c
-    order = np.argsort(key, kind="stable")
-    key_sorted = np.take(key, order)
-    w_sorted = np.take(w, order)
-    starts = run_boundaries(key_sorted)
-    agg_w = (np.add.reduceat(w_sorted, starts) if starts.size
+    # Two stable counting transposes: the first buckets the entries by
+    # dst community (fine rows ascending within a bucket), the second
+    # re-buckets that by src community.  Together they order the entries
+    # exactly as a stable sort of ``src_c * k + dst_c`` would, so the
+    # segment sums below add the same weights in the same order.
+    tp, ti, tw = _transpose(n, k, graph.indptr.astype(idx), dst_c, w)
+    cp, cj, cw = _transpose(k, k, tp, np.take(dense_idx, ti), tw)
+    # A run starts at every row start and wherever the dst changes.
+    new_run = np.ones(nnz, dtype=bool)
+    np.not_equal(cj[1:], cj[:-1], out=new_run[1:])
+    new_run[cp[:-1][cp[:-1] < cp[1:]]] = True
+    starts = np.flatnonzero(new_run)
+    agg_w = (np.add.reduceat(cw, starts) if starts.size
              else np.zeros(0, dtype=np.float64))
-    agg_key = np.take(key_sorted, starts) if starts.size else key_sorted
-    agg_src = (agg_key // k).astype(np.int64)
-    agg_dst = (agg_key % k).astype(np.int64)
-
-    counts = np.bincount(agg_src, minlength=k)
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    coarse = CSRGraph(indptr, agg_dst, agg_w, validate=False)
+    indptr = np.searchsorted(starts, cp).astype(np.int64)
+    coarse = CSRGraph(indptr, np.take(cj, starts), agg_w, validate=False)
 
     return CoarsenResult(
         graph=coarse,

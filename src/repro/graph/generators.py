@@ -204,13 +204,15 @@ def rmat(
     a: float = 0.57,
     b: float = 0.19,
     c: float = 0.19,
-    seed=None,
+    seed=0,
 ) -> CSRGraph:
     """R-MAT (Kronecker-style) graph on ``2**scale`` vertices.
 
     Samples ``edge_factor * 2**scale`` directed pairs by recursive quadrant
     selection (probabilities ``a, b, c, 1-a-b-c``), symmetrizes, dedupes and
     drops self-loops.  Matches the skew of web crawls like CNR/uk-2002.
+    ``seed`` defaults to 0, so ``rmat(scale, edge_factor)`` names one
+    graph; pass ``seed=None`` for fresh entropy.
     """
     if scale <= 0 or scale > 30:
         raise ValidationError("scale must lie in 1..30")

@@ -31,7 +31,9 @@ from repro.graph.csr import CSRGraph
 from repro.utils.errors import GraphFormatError, GraphStructureError
 
 __all__ = [
+    "detect_format",
     "read_edge_list",
+    "read_graph",
     "read_matrix_market",
     "read_metis",
     "load_csrz",
@@ -735,3 +737,35 @@ def load_csrz(path) -> CSRGraph:
     if version != 1:
         raise GraphFormatError(f"{path}: unsupported csrz version {version}")
     return CSRGraph(indptr, indices, weights, validate=True)
+
+
+# ---------------------------------------------------------------------------
+# Format dispatch
+# ---------------------------------------------------------------------------
+def detect_format(path) -> str:
+    """The format a file's suffix names: ``"csrz"`` (``.npz``/``.csrz``),
+    ``"metis"`` (``.metis``/``.graph``), ``"mtx"`` (``.mtx``/``.mtx.gz``),
+    else ``"edgelist"``."""
+    lowered = str(path).lower()
+    if lowered.endswith((".npz", ".csrz")):
+        return "csrz"
+    if lowered.endswith((".metis", ".graph")):
+        return "metis"
+    if lowered.endswith((".mtx", ".mtx.gz")):
+        return "mtx"
+    return "edgelist"
+
+
+def read_graph(path, fmt: str = "auto") -> CSRGraph:
+    """Read a graph file with the reader of ``fmt`` (by default the one
+    :func:`detect_format` picks from the suffix)."""
+    fmt = detect_format(path) if fmt == "auto" else fmt
+    if fmt == "csrz":
+        return load_csrz(path)
+    if fmt == "metis":
+        return read_metis(path)
+    if fmt == "mtx":
+        return read_matrix_market(path)
+    if fmt == "edgelist":
+        return read_edge_list(path)
+    raise GraphFormatError(f"unknown graph format {fmt!r}")

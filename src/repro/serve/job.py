@@ -29,10 +29,12 @@ from urllib.parse import parse_qs
 from repro.utils.errors import ValidationError
 
 __all__ = [
+    "GraphSource",
     "JobRecord",
     "JobSpec",
     "JobStatus",
     "checkpoint_path",
+    "parse_graph_ref",
     "resolve_graph_ref",
     "result_path",
 ]
@@ -178,20 +180,47 @@ def _param(params: dict, key: str, cast, default):
         )
 
 
-def resolve_graph_ref(ref: str):
-    """Build/load the graph a job names (see the module docstring)."""
+@dataclass(frozen=True)
+class GraphSource:
+    """How to build the graph a ref names (see :func:`parse_graph_ref`).
+
+    ``kind`` is ``"planted"`` or ``"dataset"`` with the generator's
+    parsed, defaulted arguments in ``params`` (so two spellings of one
+    graph compare equal), or a :func:`repro.graph.io.detect_format`
+    name with the file in ``path``.
+    """
+
+    kind: str
+    params: tuple = ()
+    path: "str | None" = None
+
+    def build(self):
+        """Generate or read the graph."""
+        if self.kind == "planted":
+            from repro.graph.generators import planted_partition
+
+            k, s, p_in, p_out, seed = self.params
+            return planted_partition(k, s, p_in, p_out, seed=seed)
+        if self.kind == "dataset":
+            from repro.datasets.catalog import load_dataset
+
+            name, scale, seed = self.params
+            return load_dataset(name, scale=scale, seed=seed)
+        from repro.graph.io import read_graph
+
+        return read_graph(self.path, self.kind)
+
+
+def parse_graph_ref(ref: str) -> GraphSource:
+    """Parse and validate a graph ref (see the module docstring)."""
     if ref.startswith("dataset:"):
-        from repro.datasets.catalog import load_dataset
-
         name, params = _split_ref(ref[len("dataset:"):])
-        return load_dataset(
+        return GraphSource("dataset", (
             name,
-            scale=_param(params, "scale", float, 1.0),
-            seed=_param(params, "seed", int, 0),
-        )
+            _param(params, "scale", float, 1.0),
+            _param(params, "seed", int, 0),
+        ))
     if ref.startswith("planted:"):
-        from repro.graph.generators import planted_partition
-
         body, params = _split_ref(ref[len("planted:"):])
         parts = body.split("x")
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
@@ -199,29 +228,22 @@ def resolve_graph_ref(ref: str):
                 f"planted ref {ref!r} must look like planted:KxS "
                 "(K communities of S vertices)"
             )
-        return planted_partition(
+        return GraphSource("planted", (
             int(parts[0]), int(parts[1]),
             _param(params, "p_in", float, 0.3),
             _param(params, "p_out", float, 0.005),
-            seed=_param(params, "seed", int, 0),
-        )
+            _param(params, "seed", int, 0),
+        ))
     if not os.path.exists(ref):
         raise ValidationError(
             f"graph ref {ref!r} is neither a dataset:/planted: reference "
             "nor an existing graph file"
         )
-    from repro.graph.io import (
-        load_csrz,
-        read_edge_list,
-        read_matrix_market,
-        read_metis,
-    )
+    from repro.graph.io import detect_format
 
-    lowered = ref.lower()
-    if lowered.endswith((".npz", ".csrz")):
-        return load_csrz(ref)
-    if lowered.endswith((".metis", ".graph")):
-        return read_metis(ref)
-    if lowered.endswith((".mtx", ".mtx.gz")):
-        return read_matrix_market(ref)
-    return read_edge_list(ref)
+    return GraphSource(detect_format(ref), path=ref)
+
+
+def resolve_graph_ref(ref: str):
+    """Build/load the graph a job names (see the module docstring)."""
+    return parse_graph_ref(ref).build()

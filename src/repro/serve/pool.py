@@ -45,7 +45,8 @@ import numpy as np
 from repro.parallel.backends import fork_available, resolve_backend_name
 from repro.robust.budget import peak_memory_mb
 from repro.robust.checkpoint import DIGEST_KEY, digest_arrays
-from repro.serve.job import JobSpec, checkpoint_path, resolve_graph_ref, result_path
+from repro.serve.graph_cache import GraphCache
+from repro.serve.job import JobSpec, checkpoint_path, result_path
 from repro.utils.errors import (
     CheckpointError,
     FaultInjected,
@@ -114,7 +115,8 @@ def _write_result(path: str, communities: np.ndarray, meta: dict) -> None:
     os.replace(tmp, path)
 
 
-def _run_job(job_id: str, spec: JobSpec, spool: str) -> "tuple[str, dict]":
+def _run_job(job_id: str, spec: JobSpec, spool: str,
+             graphs: GraphCache) -> "tuple[str, dict]":
     """Execute one job attempt; returns ``(status, meta)``.
 
     ``status`` is ``"ok"`` (result written) or ``"drained"`` (a service
@@ -128,6 +130,11 @@ def _run_job(job_id: str, spec: JobSpec, spool: str) -> "tuple[str, dict]":
     mismatch, torn zip) are removed and recomputed rather than failing
     the job — ``meta["recovered_corrupt_artifact"]`` tells the service
     to count the event.
+
+    ``spec.graph`` resolves through the worker's ``graphs`` cache;
+    ``meta["graph_cache"]`` says whether it was a ``"hit"``, a
+    ``"miss"`` or ``"uncached"``.  ``meta["elapsed"]`` includes the
+    resolution either way.
     """
     from repro.core.config import LouvainConfig
     from repro.core.driver import louvain
@@ -174,7 +181,8 @@ def _run_job(job_id: str, spec: JobSpec, spool: str) -> "tuple[str, dict]":
         fields["budget"] = {"handle_signals": True}
     config = LouvainConfig.from_dict(fields)
     start = monotonic()
-    result = louvain(graph=resolve_graph_ref(spec.graph), config=config,
+    graph, cache_outcome = graphs.resolve(spec.graph)
+    result = louvain(graph=graph, config=config,
                      checkpoint=ckpt_path, resume=resume)
     meta = {
         "modularity": float(result.modularity),
@@ -183,6 +191,7 @@ def _run_job(job_id: str, spec: JobSpec, spool: str) -> "tuple[str, dict]":
         "iterations": int(result.total_iterations),
         "resumed_from_phase": resumed_from,
         "elapsed": monotonic() - start,
+        "graph_cache": cache_outcome,
     }
     if recovered_corrupt:
         meta["recovered_corrupt_artifact"] = True
@@ -204,8 +213,12 @@ def _worker_main(worker_id, task_q, done_q, hb_q, spool, parent_pid):
     dedicated ``hb_q`` as ``("hb", worker_id, ts, jobs_done, rss_mb)``
     so completion-message validation never sees them.  Heartbeats are
     advisory — a lost one costs a gauge update, never a result.
+
+    The worker's :class:`~repro.serve.graph_cache.GraphCache` lives in
+    this frame: it starts empty in every worker and dies with it.
     """
     jobs_done = 0
+    graphs = GraphCache()
 
     def _heartbeat() -> None:
         try:
@@ -228,7 +241,7 @@ def _worker_main(worker_id, task_q, done_q, hb_q, spool, parent_pid):
         job_id, spec_dict = task
         try:
             spec = JobSpec.from_dict(spec_dict)
-            status, meta = _run_job(job_id, spec, spool)
+            status, meta = _run_job(job_id, spec, spool, graphs)
         except FaultInjected:
             raise  # modelled crash: die; the parent requeues and resumes
         except (ValidationError, GraphFormatError, CheckpointError) as exc:

@@ -517,6 +517,12 @@ class JobService:
             # it away and recomputed — correctness held, but the event
             # is worth a counter (disks that flip bits keep flipping).
             self.tracer.count("serve.spool_corrupt")
+        cache_outcome = meta.get("graph_cache")
+        if cache_outcome == "hit":
+            self.tracer.count("serve.graph_cache_hits")
+        elif cache_outcome is not None:
+            # "miss" and "uncached" both parsed the graph.
+            self.tracer.count("serve.graph_cache_misses")
         if status in ("ok", "error"):
             self._fault("serve.complete")
         with self._lock:

@@ -58,6 +58,17 @@ class TestConfig:
         with pytest.raises(ValidationError):
             LouvainConfig(**bad)
 
+    def test_bad_budget_dict_is_a_validation_error(self):
+        from repro.core.driver import louvain
+        from repro.graph.generators import karate_club
+
+        with pytest.raises(ValidationError, match="warp"):
+            LouvainConfig(budget={"warp": 1})
+        with pytest.raises(ValidationError, match="warp"):
+            louvain(karate_club(), budget={"warp": 1})
+        with pytest.raises(ValidationError, match="bad budget"):
+            LouvainConfig(budget={"deadline": "soon"})
+
     def test_frozen(self):
         cfg = LouvainConfig()
         with pytest.raises(AttributeError):

@@ -1,13 +1,99 @@
-"""Unit tests for the between-phase graph rebuild (paper §5.5)."""
+"""Unit tests for the between-phase graph rebuild (paper §5.5).
+
+``coarsen`` groups the fine entries by (src community, dst community)
+with two stable counting transposes.  The stable ``argsort`` over the
+key ``src_c * k + dst_c`` that it replaced is kept here as an oracle:
+the coarse graphs must be equal byte for byte, weights included.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.modularity import community_degrees, modularity
+from repro.graph.build import from_edge_array
 from repro.graph.coarsen import coarsen, project_assignment
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import karate_club, two_cliques_bridge
+from repro.utils.arrays import renumber_labels, run_boundaries
 from repro.utils.errors import ValidationError
+
+
+def argsort_coarse_graph(graph: CSRGraph, communities) -> CSRGraph:
+    """The coarse graph by one stable argsort of the pair keys."""
+    dense, k = renumber_labels(np.asarray(communities))
+    if graph.num_vertices == 0:
+        return CSRGraph.empty(0)
+    key = np.take(dense, graph.row_of_entry()) * k + np.take(dense,
+                                                             graph.indices)
+    order = np.argsort(key, kind="stable")
+    key_sorted = np.take(key, order)
+    w_sorted = np.take(graph.weights, order)
+    starts = run_boundaries(key_sorted)
+    agg_w = (np.add.reduceat(w_sorted, starts) if starts.size
+             else np.zeros(0, dtype=np.float64))
+    agg_key = np.take(key_sorted, starts) if starts.size else key_sorted
+    counts = np.bincount(agg_key // k, minlength=k)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRGraph(indptr, agg_key % k, agg_w, validate=False)
+
+
+def graph_bytes(graph: CSRGraph) -> tuple:
+    return tuple((a.dtype.str, a.tobytes())
+                 for a in (graph.indptr, graph.indices, graph.weights))
+
+
+@st.composite
+def graphs_and_labels(draw):
+    n = draw(st.integers(0, 40))
+    num_edges = draw(st.integers(0, 4 * n)) if n else 0
+    src = np.asarray(draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                   min_size=num_edges, max_size=num_edges)),
+                     dtype=np.int64)
+    dst = np.asarray(draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                   min_size=num_edges, max_size=num_edges)),
+                     dtype=np.int64)
+    weighted = draw(st.booleans())
+    w = (np.asarray(draw(st.lists(
+        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=num_edges, max_size=num_edges)), dtype=np.float64)
+        if weighted else None)
+    graph = from_edge_array(n, np.stack([src, dst], axis=1).reshape(-1, 2),
+                            w, combine="sum")
+    shape = draw(st.sampled_from(["random", "one", "singletons"]))
+    if shape == "one":
+        labels = np.full(n, 7, dtype=np.int64)
+    elif shape == "singletons":
+        labels = np.arange(n, dtype=np.int64) * 3 - 5
+    else:
+        labels = np.asarray(draw(st.lists(st.integers(-50, 50), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+    return graph, labels
+
+
+class TestCoarsenDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_labels())
+    def test_matches_argsort_oracle(self, case):
+        graph, labels = case
+        assert graph_bytes(coarsen(graph, labels).graph) == graph_bytes(
+            argsort_coarse_graph(graph, labels))
+
+    @pytest.mark.parametrize("groups", [1, 5, 34])
+    def test_karate_bytes(self, karate, groups):
+        labels = (np.arange(34) * 7 % groups).astype(np.int64) * 10
+        assert graph_bytes(coarsen(karate, labels).graph) == graph_bytes(
+            argsort_coarse_graph(karate, labels))
+
+    def test_float32_weights_keep_their_dtype(self, karate):
+        fine = CSRGraph(karate.indptr, karate.indices,
+                        (karate.weights * 0.1).astype(np.float32))
+        labels = np.arange(34) % 4
+        coarse = coarsen(fine, labels).graph
+        assert coarse.weights.dtype == np.float32
+        assert graph_bytes(coarse) == graph_bytes(
+            argsort_coarse_graph(fine, labels))
 
 
 class TestCoarsenStructure:

@@ -130,6 +130,9 @@ class TestRandomModels:
     def test_rmat_determinism(self):
         assert rmat(7, 4, seed=3) == rmat(7, 4, seed=3)
 
+    def test_rmat_default_seed_is_fixed(self):
+        assert rmat(10, 8) == rmat(10, 8, seed=0)
+
     def test_rmat_validation(self):
         with pytest.raises(ValidationError):
             rmat(0, 8)

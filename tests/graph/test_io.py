@@ -9,9 +9,11 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.io import (
+    detect_format,
     load_csrz,
     read_edge_list,
     read_matrix_market,
+    read_graph,
     read_metis,
     save_csrz,
     write_edge_list,
@@ -308,3 +310,26 @@ class TestCsrz:
         with pytest.raises(GraphFormatError, match="weights") as info:
             load_csrz(path)
         assert isinstance(info.value.__cause__, KeyError)
+
+
+class TestFormatDispatch:
+    @pytest.mark.parametrize("name, fmt", [
+        ("g.npz", "csrz"), ("G.CSRZ", "csrz"), ("g.metis", "metis"),
+        ("g.graph", "metis"), ("g.mtx", "mtx"), ("g.mtx.gz", "mtx"),
+        ("g.txt", "edgelist"), ("g.edges.gz", "edgelist"), ("g", "edgelist"),
+    ])
+    def test_detect_format(self, name, fmt):
+        assert detect_format(name) == fmt
+
+    def test_read_graph_dispatches_on_suffix(self, planted, tmp_path):
+        for name, write in (("g.npz", save_csrz), ("g.metis", write_metis),
+                            ("g.txt", write_edge_list)):
+            path = tmp_path / name
+            write(planted, path)
+            assert read_graph(path) == planted
+        # An explicit format overrides the suffix.
+        assert read_graph(tmp_path / "g.txt", "edgelist") == planted
+
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="unknown graph format"):
+            read_graph(tmp_path / "g.txt", "parquet")
