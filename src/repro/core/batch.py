@@ -44,13 +44,14 @@ tracing, sanitizing, float32 graphs — composes.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import LouvainConfig
 from repro.core.modularity import intra_community_weight, modularity
+from repro.core.pipeline import run_scope
 from repro.core.sweep import (
     SweepState,
     apply_moves,
@@ -63,8 +64,8 @@ from repro.graph.batch import GraphBatch, pack_graphs
 from repro.graph.coarsen import coarsen
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize
-from repro.obs.trace import Tracer, get_tracer, use_tracer
-from repro.robust.budget import get_budget, use_budget
+from repro.obs.trace import Tracer, get_tracer
+from repro.robust.budget import get_budget
 from repro.utils.arrays import renumber_labels
 from repro.utils.errors import ValidationError
 
@@ -448,13 +449,8 @@ def louvain_batch(
 
     tracer = Tracer(enabled=cfg.trace)
     finished: "list[tuple[_Running, bool, bool]]" = []  # (w, converged, interrupted)
-    with ExitStack() as obs:
-        obs.enter_context(use_tracer(tracer))
-        controller = obs.enter_context(use_budget(cfg.budget))
-        obs.enter_context(controller.signal_scope())
-        obs.enter_context(tracer.span(
-            "louvain_batch", cat="pipeline", graphs=len(work),
-        ))
+    with run_scope(tracer, "louvain_batch", budget=cfg.budget,
+                   graphs=len(work)) as (controller, _):
         for phase_index in range(cfg.max_phases):
             if not work:
                 break

@@ -14,12 +14,19 @@ Steps, exactly as the paper lists them:
 4. **Graph rebuilding**: coarsen by the phase's final communities
    (:mod:`repro.graph.coarsen`) and continue on the condensed graph.
 
-The driver records everything the evaluation section needs: per-iteration
+The multilevel loop — run scope, checkpoints and resume, budget
+cancellation, the coloring schedule, the rebuild and the records — is
+:func:`repro.core.pipeline.run_pipeline`, shared with the distributed
+and serial pipelines.  This module supplies its shared-memory phase:
+:func:`~repro.core.phase.run_phase` on the configured execution backend,
+with one :class:`~repro.core.workspace.SweepWorkspace` per phase.
+
+The run records everything the evaluation section needs: per-iteration
 modularity, per-phase work counters, coloring statistics, rebuild lock
 counts, and wall-clock step timers (clustering / coloring / rebuild — the
 Fig. 8 buckets).  Timing flows through the unified observability layer
-(:mod:`repro.obs`): the driver installs its :class:`~repro.obs.trace.Tracer`
-as ambient for the whole run, and ``result.timers`` is a live
+(:mod:`repro.obs`): the run's :class:`~repro.obs.trace.Tracer` is ambient
+for the whole run, and ``result.timers`` is a live
 :class:`~repro.utils.timing.StepTimer` view over the tracer's step
 buckets.  With ``config.trace`` enabled the same clock reads additionally
 produce the span stream behind ``repro obs`` reports and Chrome traces.
@@ -27,42 +34,32 @@ produce the span stream behind ``repro obs`` reports and Chrome traces.
 
 from __future__ import annotations
 
-import json
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.coloring.balanced import balance_colors
-from repro.coloring.distance_k import distance_k_coloring
-from repro.coloring.greedy import greedy_coloring
-from repro.coloring.jones_plassmann import jones_plassmann_coloring
-from repro.coloring.speculative import speculative_coloring
-from repro.coloring.validate import color_class_sizes, color_set_partition
 from repro.core.config import HeuristicVariant, LouvainConfig
 from repro.core.dendrogram import Dendrogram
-from repro.core.history import ConvergenceHistory, PhaseRecord
-from repro.core.phase import run_phase, state_modularity
-from repro.core.sweep import init_state
+from repro.core.history import ConvergenceHistory
+from repro.core.phase import run_phase
+from repro.core.pipeline import PhaseExecutor, run_pipeline
 from repro.core.workspace import SweepWorkspace
-from repro.core.vf import VFResult, chain_compress, vf_merge
-from repro.graph.coarsen import coarsen
+from repro.core.vf import VFResult
 from repro.graph.csr import CSRGraph
-from repro.obs.live import stream_metrics
-from repro.obs.profile import ProfileData, profile_run
-from repro.obs.trace import Tracer, use_tracer
+from repro.obs.profile import ProfileData
+from repro.obs.trace import Tracer
 from repro.parallel.backends import make_backend
-from repro.robust.budget import BudgetOutcome, use_budget
-from repro.robust.checkpoint import (
-    Checkpoint,
-    config_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.robust.faults import use_faults
+from repro.robust.budget import BudgetOutcome
 from repro.utils.arrays import renumber_labels
-from repro.utils.errors import CheckpointError, ValidationError
-from repro.utils.timing import StepTimer, step_timer_view
+from repro.utils.errors import ValidationError
+from repro.utils.timing import StepTimer
+
+# Looked up on this module by perfbench's trace wrappers; the calls
+# themselves are in repro.core.pipeline.
+from repro.coloring.jones_plassmann import jones_plassmann_coloring  # noqa: F401
+from repro.core.vf import vf_merge  # noqa: F401
+from repro.graph.coarsen import coarsen  # noqa: F401
+from repro.robust.checkpoint import save_checkpoint  # noqa: F401
 
 __all__ = ["LouvainResult", "louvain"]
 
@@ -148,6 +145,55 @@ def _resolve_config(config, variant, overrides) -> LouvainConfig:
     return config.with_(**overrides) if overrides else config
 
 
+class _SharedMemoryPhases(PhaseExecutor):
+    """Algorithm 1's phase on the configured execution backend."""
+
+    pipeline = "driver"
+    span = "louvain"
+
+    def __init__(self, cfg: LouvainConfig, n: int):
+        self.cfg = cfg
+        self.semantic_config = asdict(cfg)
+        self.span_args = {"variant": cfg.variant_name, "n": n,
+                          "backend": cfg.backend}
+
+    def __enter__(self) -> "_SharedMemoryPhases":
+        self.backend = make_backend(self.cfg.backend, self.cfg.num_threads)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.backend.close()
+
+    def run_phase(self, graph, state, *, phase_index, color_sets, threshold,
+                  prune):
+        cfg = self.cfg
+        # One workspace per phase: gather plans, the loop-free row view
+        # and scratch buffers are graph-bound, and each phase runs on a
+        # new coarsened graph.  Released with this frame, before the
+        # rebuild.
+        workspace = (
+            SweepWorkspace(graph, aggregation=cfg.aggregation)
+            if cfg.kernel == "vectorized" else None
+        )
+        return run_phase(
+            graph,
+            state,
+            threshold=threshold,
+            phase_index=phase_index,
+            color_sets=color_sets,
+            kernel=cfg.kernel,
+            use_min_label=cfg.use_min_label,
+            backend=self.backend,
+            max_iterations=cfg.max_iterations_per_phase,
+            resolution=cfg.resolution,
+            workspace=workspace,
+            aggregation=cfg.aggregation,
+            prune=prune,
+            incremental=cfg.incremental_modularity,
+            sanitize=cfg.sanitize,
+        )
+
+
 def louvain(
     graph: CSRGraph,
     config: LouvainConfig | None = None,
@@ -203,38 +249,10 @@ def louvain(
     2
     """
     cfg = _resolve_config(config, variant, overrides)
-    resumed = None
-    if resume is not None:
-        if initial_communities is not None:
-            raise ValidationError(
-                "resume cannot be combined with initial_communities"
-            )
-        # The fingerprint is validated against the checkpoint's meta
-        # before any array is materialized (fail-fast on a wrong config).
-        resumed = load_checkpoint(
-            resume, expected_fingerprint=config_fingerprint(cfg))
-        if resumed.pipeline != "driver":
-            raise CheckpointError(
-                f"{resume}: checkpoint was written by the "
-                f"{resumed.pipeline!r} pipeline, not the driver"
-            )
-        if (resumed.n_original != graph.num_vertices
-                or resumed.m_original != graph.num_edges):
-            raise CheckpointError(
-                f"{resume}: graph mismatch — checkpoint recorded "
-                f"n={resumed.n_original} M={resumed.m_original}, got "
-                f"n={graph.num_vertices} M={graph.num_edges}"
-            )
-    tracer = Tracer(enabled=cfg.trace)
-    timers = step_timer_view(tracer)
-    history = ConvergenceHistory()
-    dendrogram = Dendrogram()
-    if resumed is not None:
-        history = resumed.history
-        for level, label in zip(resumed.levels, resumed.labels):
-            dendrogram.push(level, label)
-
-    n_original = graph.num_vertices
+    if resume is not None and initial_communities is not None:
+        raise ValidationError(
+            "resume cannot be combined with initial_communities"
+        )
     warm_start = None
     if initial_communities is not None:
         if cfg.use_vf:
@@ -243,319 +261,27 @@ def louvain(
                 "(see the louvain() docstring)"
             )
         warm = np.asarray(initial_communities)
-        if warm.shape != (n_original,):
+        n = graph.num_vertices
+        if warm.shape != (n,):
             raise ValidationError(
-                f"initial_communities must have shape ({n_original},)"
+                f"initial_communities must have shape ({n},)"
             )
         if not np.issubdtype(warm.dtype, np.integer):
             raise ValidationError("initial_communities must be integers")
         warm_start, _ = renumber_labels(warm)
-    if n_original == 0:
-        return LouvainResult(
-            communities=np.zeros(0, dtype=np.int64),
-            modularity=0.0,
-            history=history,
-            dendrogram=dendrogram,
-            config=cfg,
-        )
-
-    backend = make_backend(cfg.backend, cfg.num_threads)
-    vf_result: VFResult | None = None
-    current = graph
-    mapping = np.arange(n_original, dtype=np.int64)
-    start_phase = 0
-    if resumed is not None:
-        current = resumed.graph
-        mapping = resumed.mapping
-        start_phase = resumed.phase_index
-
-    # The tracer stays ambient for the whole run so nested kernels and
-    # forked workers can emit without threading it through signatures;
-    # the fault injector is scoped the same way (no-op when no plan).
-    _obs = ExitStack()
-    _obs.enter_context(use_tracer(tracer))
-    _obs.enter_context(use_faults(cfg.fault_plan))
-    # The budget controller is ambient too (run_phase and the process
-    # backend's recovery loop consult it); its clock starts here.
-    controller = _obs.enter_context(use_budget(cfg.budget))
-    _obs.enter_context(controller.signal_scope())
-    # Live plane (optional, read-only): stream periodic registry
-    # snapshots to the ring file and/or sample this thread's stack.
-    # Both only observe — results stay bitwise identical either way.
-    if cfg.metrics_ring:
-        _obs.enter_context(stream_metrics(tracer, cfg.metrics_ring))
-    profile_data: "ProfileData | None" = None
-    if cfg.profile:
-        profile_data = _obs.enter_context(profile_run())
-    _obs.enter_context(tracer.span(
-        "louvain", cat="pipeline", variant=cfg.variant_name,
-        n=n_original, backend=cfg.backend,
-    ))
-    try:
-        # -- Step 1: VF preprocessing (optional, once, §6.1; a resumed run
-        # already carries its VF level in the mapping and dendrogram) ------
-        if cfg.use_vf and resumed is None:
-            with tracer.step("rebuild", stage="vf"):
-                vf_result = (
-                    chain_compress(current)
-                    if cfg.vf_chain_compression
-                    else vf_merge(current)
-                )
-            if vf_result.num_merged:
-                dendrogram.push(vf_result.vertex_to_meta, "vf")
-                mapping = vf_result.vertex_to_meta[mapping]
-                current = vf_result.graph
-
-        # -- Steps 2-4: colored/uncolored phases + rebuilds -----------------
-        coloring_active = cfg.use_coloring
-        last_phase_gain = np.inf
-        if resumed is not None:
-            coloring_active = resumed.coloring_active
-            last_phase_gain = resumed.last_phase_gain
-
-        # Degradation ladder adjusts these *effective* knobs, never cfg
-        # itself: the coloring schedule's stop condition and the
-        # checkpoint fingerprint keep reading the configured values, so
-        # a cancelled run's checkpoint resumes under the original config.
-        eff_colored_threshold = cfg.colored_threshold
-        eff_prune = cfg.prune
-        cancelled_reason: "str | None" = None
-        cancel_ckpt: "str | None" = None
-
-        def _cancel_checkpoint(next_phase_index, mapping_, graph_,
-                               coloring_active_, gain_) -> "str | None":
-            # The cancellation checkpoint is a regular phase-boundary
-            # checkpoint of the state the *next* (or interrupted) phase
-            # starts from — resuming it unbudgeted reproduces the
-            # unbudgeted run's final assignment bitwise.
-            budget = cfg.budget
-            path = (budget.checkpoint
-                    if budget is not None and budget.checkpoint is not None
-                    else checkpoint)
-            if path is None:
-                return None
-            save_checkpoint(path, Checkpoint(
-                pipeline="driver",
-                phase_index=next_phase_index,
-                mapping=mapping_,
-                graph=graph_,
-                coloring_active=coloring_active_,
-                last_phase_gain=float(gain_),
-                config_fingerprint=config_fingerprint(cfg),
-                config_json=json.dumps(asdict(cfg)),
-                history=history,
-                levels=dendrogram.levels,
-                labels=dendrogram.labels,
-                n_original=n_original,
-                m_original=graph.num_edges,
-            ))
-            tracer.count("checkpoint.saved")
-            return str(path)
-
-        for phase_index in range(start_phase, cfg.max_phases):
-            # Budget: cancel at the phase boundary (exactly the regular
-            # checkpoint state), or walk the degradation ladder under
-            # pressure before it comes to that.
-            reason = controller.stop_reason()
-            if reason is not None:
-                cancelled_reason = reason
-                with tracer.span("cancellation", cat="budget",
-                                 phase=phase_index, reason=reason):
-                    cancel_ckpt = _cancel_checkpoint(
-                        phase_index, mapping, current,
-                        coloring_active, last_phase_gain,
-                    )
-                tracer.count("run.cancelled")
-                break
-            for step in controller.pending_degradations():
-                tracer.count("budget.degraded")
-                tracer.instant("degraded", cat="budget", step=step,
-                               pressure=round(controller.pressure(), 3))
-                if step == "coarse-threshold":
-                    # Toward Table 5's coarse setting: one decade per
-                    # firing, floored at the paper's 1e-2 default and
-                    # capped a decade above it.
-                    eff_colored_threshold = min(
-                        max(eff_colored_threshold * 10.0, 1e-2), 1e-1
-                    )
-                elif step == "prune":
-                    eff_prune = True
-                elif step == "no-trace":
-                    tracer.enabled = False
-                controller.note_degradation(step)
-
-            n = current.num_vertices
-            color_this_phase = (
-                coloring_active
-                and n >= cfg.coloring_min_vertices
-                and last_phase_gain >= cfg.colored_threshold
-                and (cfg.multiphase_coloring or phase_index == 0)
-            )
-            if coloring_active and not color_this_phase:
-                # §6.1: once a stop condition fires, no further phase colors.
-                coloring_active = False
-
-            color_sets = None
-            colors = None
-            if color_this_phase:
-                with tracer.step("coloring", phase=phase_index):
-                    if cfg.distance_k > 1:
-                        colors = distance_k_coloring(
-                            current, cfg.distance_k, seed=cfg.seed
-                        )
-                    elif cfg.colorer == "speculative":
-                        colors = speculative_coloring(current, seed=cfg.seed)
-                    elif cfg.colorer == "greedy":
-                        colors = greedy_coloring(current, seed=cfg.seed)
-                    else:
-                        colors = jones_plassmann_coloring(current, seed=cfg.seed)
-                    if cfg.balanced_coloring:
-                        # Allow 50% color headroom: balanced colorings trade
-                        # a few extra (smaller) sets for evenness.
-                        headroom = int(colors.max()) + 1 if colors.size else 1
-                        colors = balance_colors(
-                            current, colors, max_colors=headroom + headroom // 2
-                        )
-                    color_sets = color_set_partition(colors)
-                if tracer.enabled:
-                    for size in color_class_sizes(colors).tolist():
-                        tracer.observe("coloring.set_size", size)
-
-            threshold = (
-                eff_colored_threshold if color_this_phase
-                else cfg.final_threshold
-            )
-            state = init_state(
-                current, warm_start if phase_index == 0 else None
-            )
-            # One workspace per phase: gather plans, the loop-free row view
-            # and scratch buffers are graph-bound, and each phase runs on a
-            # new coarsened graph.  Released before the rebuild.
-            workspace = (
-                SweepWorkspace(current, aggregation=cfg.aggregation)
-                if cfg.kernel == "vectorized" else None
-            )
-            with tracer.step("clustering", phase=phase_index):
-                outcome = run_phase(
-                    current,
-                    state,
-                    threshold=threshold,
-                    phase_index=phase_index,
-                    color_sets=color_sets,
-                    kernel=cfg.kernel,
-                    use_min_label=cfg.use_min_label,
-                    backend=backend,
-                    max_iterations=cfg.max_iterations_per_phase,
-                    resolution=cfg.resolution,
-                    workspace=workspace,
-                    aggregation=cfg.aggregation,
-                    prune=eff_prune,
-                    incremental=cfg.incremental_modularity,
-                    sanitize=cfg.sanitize,
-                )
-            del workspace
-            interrupted = outcome.interrupted
-            if interrupted:
-                # Cancel mid-phase: checkpoint the state this phase
-                # *started* from (mapping/graph/history are still
-                # pre-phase here), then fold the partial phase's
-                # best-seen progress into the anytime result below.
-                cancelled_reason = controller.stop_reason() or "deadline"
-                with tracer.span("cancellation", cat="budget",
-                                 phase=phase_index,
-                                 reason=cancelled_reason):
-                    cancel_ckpt = _cancel_checkpoint(
-                        phase_index, mapping, current,
-                        coloring_active, last_phase_gain,
-                    )
-                tracer.count("run.cancelled")
-                if not outcome.records:
-                    break  # no completed iteration — nothing to fold
-            history.iterations.extend(outcome.records)
-
-            with tracer.step("rebuild", phase=phase_index):
-                rebuild = coarsen(current, state.comm)
-            history.phases.append(
-                PhaseRecord(
-                    phase=phase_index,
-                    num_vertices=n,
-                    num_edges=current.num_edges,
-                    colored=color_this_phase,
-                    num_colors=len(color_sets) if color_sets else 0,
-                    threshold=threshold,
-                    iterations=len(outcome.records),
-                    start_modularity=outcome.start_modularity,
-                    end_modularity=outcome.end_modularity,
-                    rebuild_lock_ops=rebuild.lock_ops,
-                    rebuild_num_communities=rebuild.num_communities,
-                    color_class_sizes=(
-                        tuple(color_class_sizes(colors).tolist())
-                        if colors is not None
-                        else ()
-                    ),
-                )
-            )
-            dendrogram.push(rebuild.vertex_to_meta, f"phase-{phase_index}")
-            mapping = rebuild.vertex_to_meta[mapping]
-            last_phase_gain = outcome.end_modularity - outcome.start_modularity
-            if not interrupted:
-                controller.note_phase()
-
-            made_progress = rebuild.num_communities < n
-            converged = last_phase_gain < cfg.final_threshold
-            tracer.instant(
-                "phase_end", phase=phase_index,
-                Q=outcome.end_modularity,
-                communities=rebuild.num_communities,
-            )
-            current = rebuild.graph
-            if interrupted:
-                break
-            if converged or not made_progress:
-                break
-            if checkpoint is not None:
-                # Phase boundary: everything the next phase starts from.
-                # Written only when another phase will follow — a finished
-                # run's product is its result, not a checkpoint.
-                with tracer.span("checkpoint", cat="robust",
-                                 phase=phase_index):
-                    save_checkpoint(checkpoint, Checkpoint(
-                        pipeline="driver",
-                        phase_index=phase_index + 1,
-                        mapping=mapping,
-                        graph=current,
-                        coloring_active=coloring_active,
-                        last_phase_gain=float(last_phase_gain),
-                        config_fingerprint=config_fingerprint(cfg),
-                        config_json=json.dumps(asdict(cfg)),
-                        history=history,
-                        levels=dendrogram.levels,
-                        labels=dendrogram.labels,
-                        n_original=n_original,
-                        m_original=graph.num_edges,
-                    ))
-                tracer.count("checkpoint.saved")
-        budget_outcome = (
-            controller.outcome(cancelled_reason, cancel_ckpt)
-            if controller.armed else None
-        )
-    finally:
-        backend.close()
-        _obs.close()
-
-    communities, _ = renumber_labels(mapping)
-    from repro.core.modularity import modularity as full_modularity
-
+    run = run_pipeline(
+        graph, cfg, _SharedMemoryPhases(cfg, graph.num_vertices),
+        warm_start=warm_start, checkpoint=checkpoint, resume=resume,
+    )
     return LouvainResult(
-        communities=communities,
-        modularity=full_modularity(graph, communities,
-                                   resolution=cfg.resolution),
-        history=history,
-        dendrogram=dendrogram,
+        communities=run.communities,
+        modularity=run.modularity,
+        history=run.history,
+        dendrogram=run.dendrogram,
         config=cfg,
-        timers=timers,
-        vf=vf_result,
-        trace=tracer if cfg.trace else None,
-        budget_outcome=budget_outcome,
-        profile=profile_data,
+        timers=run.timers,
+        vf=run.vf,
+        trace=run.trace,
+        budget_outcome=run.budget_outcome,
+        profile=run.profile,
     )

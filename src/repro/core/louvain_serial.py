@@ -9,25 +9,30 @@ parallel sweep, modularity is monotonically non-decreasing across
 iterations of a phase (a property the test-suite asserts).  Phases iterate
 until the relative gain falls below θ, then the graph is rebuilt (§3) and
 the next phase starts from singleton communities of the coarse graph.
+
+The multilevel loop (rebuilds, records, the stop rule) is
+:func:`repro.core.pipeline.run_pipeline`; this module supplies its phase,
+the Gauss–Seidel sweep of :func:`serial_iteration`.  The serial run has
+no VF, coloring, checkpoint or budget surface: it stops when a phase
+makes no progress or gains less than θ.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.history import ConvergenceHistory, IterationRecord, PhaseRecord
-from repro.core.phase import state_modularity
-from repro.core.sweep import SweepState, init_state
-from repro.graph.coarsen import coarsen
+from repro.core.config import LouvainConfig
+from repro.core.history import ConvergenceHistory, IterationRecord
+from repro.core.phase import PhaseOutcome, state_modularity
+from repro.core.pipeline import PhaseExecutor, run_pipeline
+from repro.core.sweep import SweepState
 from repro.graph.csr import CSRGraph
-from repro.obs.trace import Tracer, resolve_trace, use_tracer
-from repro.utils.arrays import renumber_labels
+from repro.obs.trace import Tracer, get_tracer, resolve_trace
 from repro.utils.errors import ValidationError
 from repro.utils.rng import as_rng
-from repro.utils.timing import StepTimer, step_timer_view
+from repro.utils.timing import StepTimer
 
 __all__ = ["SerialLouvainResult", "louvain_serial", "serial_iteration"]
 
@@ -114,6 +119,63 @@ class SerialLouvainResult:
         return int(self.communities.max()) + 1 if self.communities.size else 0
 
 
+class _GaussSeidelPhases(PhaseExecutor):
+    """Serial iterations in a fixed visit order until the gain drops."""
+
+    span = "louvain_serial"
+
+    def __init__(self, cfg: LouvainConfig, n: int, *, order: str, rng):
+        self.span_args = {"n": n, "order": order}
+        self.semantic_config = {}
+        self.cfg = cfg
+        self.order = order
+        self.rng = rng
+
+    def run_phase(self, graph, state, *, phase_index, color_sets, threshold,
+                  prune):
+        n = graph.num_vertices
+        resolution = self.cfg.resolution
+        visit = (
+            np.arange(n, dtype=np.int64)
+            if self.order == "natural"
+            else self.rng.permutation(n).astype(np.int64)
+        )
+        tracer = get_tracer()
+        q_prev = -1.0
+        start_q = state_modularity(graph, state, resolution=resolution)
+        records: list[IterationRecord] = []
+        converged = False
+        for iteration in range(self.cfg.max_iterations_per_phase):
+            with tracer.span("iteration", phase=phase_index,
+                             iteration=iteration):
+                moved = serial_iteration(graph, state, visit,
+                                         resolution=resolution)
+            q_curr = state_modularity(graph, state, resolution=resolution)
+            if tracer.enabled:
+                tracer.count("sweep.moves", moved)
+                tracer.observe("iteration.moves", moved)
+                tracer.observe("iteration.active_vertices", n)
+            records.append(
+                IterationRecord(
+                    phase=phase_index,
+                    iteration=iteration,
+                    modularity=q_curr,
+                    vertices_moved=moved,
+                    num_communities=state.num_communities(),
+                    color_set_vertices=(n,),
+                    color_set_edges=(graph.num_entries,),
+                )
+            )
+            if moved == 0 or (q_curr - q_prev) < threshold * abs(q_prev):
+                converged = True
+                break
+            q_prev = q_curr
+        end_q = records[-1].modularity if records else start_q
+        return PhaseOutcome(state=state, records=records,
+                            start_modularity=start_q, end_modularity=end_q,
+                            converged=converged)
+
+
 def louvain_serial(
     graph: CSRGraph,
     *,
@@ -147,95 +209,21 @@ def louvain_serial(
     """
     if order not in ("natural", "random"):
         raise ValidationError(f"unknown order {order!r}")
-    rng = as_rng(seed)
-    tracer = Tracer(enabled=resolve_trace(trace))
-    timers = step_timer_view(tracer)
-    history = ConvergenceHistory()
-
-    current = graph
-    mapping = np.arange(graph.num_vertices, dtype=np.int64)
-
-    _obs = ExitStack()
-    _obs.enter_context(use_tracer(tracer))
-    _obs.enter_context(tracer.span(
-        "louvain_serial", cat="pipeline", n=graph.num_vertices, order=order,
-    ))
-    try:
-        for phase_index in range(max_phases):
-            n = current.num_vertices
-            state = init_state(current)
-            visit = (
-                np.arange(n, dtype=np.int64)
-                if order == "natural"
-                else rng.permutation(n).astype(np.int64)
-            )
-            q_prev = -1.0
-            start_q = state_modularity(current, state, resolution=resolution)
-            iterations = 0
-            with tracer.step("clustering", phase=phase_index):
-                for iteration in range(max_iterations_per_phase):
-                    with tracer.span("iteration", phase=phase_index,
-                                     iteration=iteration):
-                        moved = serial_iteration(current, state, visit,
-                                                 resolution=resolution)
-                    q_curr = state_modularity(current, state,
-                                              resolution=resolution)
-                    if tracer.enabled:
-                        tracer.count("sweep.moves", moved)
-                        tracer.observe("iteration.moves", moved)
-                        tracer.observe("iteration.active_vertices", n)
-                    history.iterations.append(
-                        IterationRecord(
-                            phase=phase_index,
-                            iteration=iteration,
-                            modularity=q_curr,
-                            vertices_moved=moved,
-                            num_communities=state.num_communities(),
-                            color_set_vertices=(n,),
-                            color_set_edges=(current.num_entries,),
-                        )
-                    )
-                    iterations += 1
-                    if moved == 0 or (q_curr - q_prev) < threshold * abs(q_prev):
-                        break
-                    q_prev = q_curr
-
-            end_q = history.iterations[-1].modularity if iterations else start_q
-            with tracer.step("rebuild", phase=phase_index):
-                result = coarsen(current, state.comm)
-            history.phases.append(
-                PhaseRecord(
-                    phase=phase_index,
-                    num_vertices=n,
-                    num_edges=current.num_edges,
-                    colored=False,
-                    num_colors=0,
-                    threshold=threshold,
-                    iterations=iterations,
-                    start_modularity=start_q,
-                    end_modularity=end_q,
-                    rebuild_lock_ops=result.lock_ops,
-                    rebuild_num_communities=result.num_communities,
-                )
-            )
-            mapping = result.vertex_to_meta[mapping]
-            stop = (
-                result.num_communities == n
-                or end_q - start_q < threshold
-            )
-            current = result.graph
-            if stop:
-                break
-    finally:
-        _obs.close()
-
-    communities, _ = renumber_labels(mapping)
-    from repro.core.modularity import modularity as full_modularity
-
+    # Every run-scope setting is explicit: no environment default other
+    # than ``trace`` reaches the serial run.
+    cfg = LouvainConfig(
+        final_threshold=threshold, max_phases=max_phases,
+        max_iterations_per_phase=max_iterations_per_phase,
+        resolution=resolution, trace=resolve_trace(trace), sanitize=False,
+        profile=False, metrics_ring=None, fault_plan=None,
+    )
+    phases = _GaussSeidelPhases(cfg, graph.num_vertices, order=order,
+                                rng=as_rng(seed))
+    run = run_pipeline(graph, cfg, phases)
     return SerialLouvainResult(
-        communities=communities,
-        modularity=full_modularity(graph, communities, resolution=resolution),
-        history=history,
-        timers=timers,
-        trace=tracer if tracer.enabled else None,
+        communities=run.communities,
+        modularity=run.modularity,
+        history=run.history,
+        timers=run.timers,
+        trace=run.trace,
     )

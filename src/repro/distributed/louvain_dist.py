@@ -22,6 +22,12 @@ Between phases the (much smaller) community assignment is allgathered and
 the coarse graph rebuilt replicated on every rank — the standard practice
 for multilevel distributed graph algorithms once the graph has collapsed.
 
+The multilevel loop — VF, the coloring schedule, checkpoints and resume,
+budget cancellation, the rebuild and the records — is
+:func:`repro.core.pipeline.run_pipeline`, shared with the driver.  This
+module supplies its phase (the supersteps above, on a fresh rank
+partition of each phase graph) and its assignment step (the allgather).
+
 Because every superstep applies exactly the shared-memory Jacobi update,
 the distributed run returns **bitwise identical communities** to
 :func:`repro.core.driver.louvain` under the same configuration, for any
@@ -33,41 +39,25 @@ prices.
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coloring.jones_plassmann import jones_plassmann_coloring
-from repro.coloring.validate import color_set_partition
-from repro.core.history import ConvergenceHistory, IterationRecord, PhaseRecord
-from repro.core.phase import state_modularity
-from repro.core.sweep import SweepState, compute_targets_vectorized, init_state
-from repro.core.vf import vf_merge
+from repro.core.config import LouvainConfig
+from repro.core.history import ConvergenceHistory, IterationRecord
+from repro.core.phase import PhaseOutcome, state_modularity
+from repro.core.pipeline import PhaseExecutor, run_pipeline
+from repro.core.sweep import SweepState, compute_targets_vectorized
 from repro.core.workspace import SweepWorkspace
 from repro.distributed.cluster import NetworkModel, SimCluster, TrafficLog
 from repro.distributed.partition import RankPartition, partition_vertices
-from repro.graph.coarsen import coarsen
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize, snapshot_kernel
-from repro.obs.trace import Tracer, get_tracer, resolve_trace, use_tracer
-from repro.robust.budget import (
-    BudgetController,
-    BudgetOutcome,
-    RunBudget,
-    get_budget,
-)
-from repro.robust.checkpoint import (
-    Checkpoint,
-    NONSEMANTIC_CONFIG_FIELDS,
-    fingerprint_dict,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.robust.faults import FaultInjector, get_injector
-from repro.utils.arrays import renumber_labels
-from repro.utils.errors import CheckpointError, ValidationError
+from repro.obs.trace import Tracer, get_tracer, resolve_trace
+from repro.robust.budget import BudgetOutcome, RunBudget, get_budget
+from repro.robust.faults import get_injector
+from repro.utils.errors import ValidationError
 
 __all__ = ["DistributedResult", "distributed_louvain"]
 
@@ -139,14 +129,13 @@ def _distributed_phase(
     resolution: float,
     aggregation: str,
     sanitize: bool = False,
-    injector: "FaultInjector | None" = None,
-    budget: "BudgetController | None" = None,
-) -> tuple[list[IterationRecord], float, float, bool]:
+) -> PhaseOutcome:
     """One phase as supersteps; mirrors :func:`repro.core.phase.run_phase`.
 
-    The fourth return element is the ``interrupted`` flag: True when the
-    budget controller requested a stop at a superstep boundary (the
-    committed state is still consistent across ranks).
+    ``interrupted`` is set when the ambient budget controller requested a
+    stop at a superstep boundary (the committed state is still consistent
+    across ranks).  Unlike ``run_phase`` the BSP loop keeps no best-seen
+    state: ``state`` is the last superstep's.
     """
     n = graph.num_vertices
     p = cluster.num_ranks
@@ -164,12 +153,11 @@ def _distributed_phase(
     q_prev = -1.0
     start_q = state_modularity(graph, state, resolution=resolution)
     records: list[IterationRecord] = []
+    converged = False
     interrupted = False
     tracer = get_tracer()
-    if injector is None:
-        injector = get_injector()
-    if budget is None:
-        budget = get_budget()
+    injector = get_injector()
+    budget = get_budget()
 
     for iteration in range(max_iterations):
         if budget.should_stop():
@@ -319,14 +307,90 @@ def _distributed_phase(
             # A partial iteration's moved count only covers the sets
             # that ran — not a convergence signal.
             break
-        if moved_total == 0:
-            break
-        if (q_curr - q_prev) < threshold * abs(q_prev):
+        if moved_total == 0 or (q_curr - q_prev) < threshold * abs(q_prev):
+            converged = True
             break
         q_prev = q_curr
 
     end_q = records[-1].modularity if records else start_q
-    return records, start_q, end_q, interrupted
+    return PhaseOutcome(state=state, records=records, start_modularity=start_q,
+                        end_modularity=end_q, converged=converged,
+                        interrupted=interrupted)
+
+
+class _BSPPhases(PhaseExecutor):
+    """Supersteps over a fresh rank partition of each phase graph.
+
+    Every rank colors the replicated phase graph with the same seed, so
+    the color sets the loop hands in need no coordination traffic.
+    """
+
+    pipeline = "distributed"
+    span = "distributed_louvain"
+    keeps_best_seen = False
+    # Its phase records never listed them; a history resumed from an
+    # older checkpoint keeps one form throughout.
+    records_color_classes = False
+
+    def __init__(self, cfg: LouvainConfig, n: int, num_ranks: int, *,
+                 semantic_config: dict, partition_scheme: str,
+                 aggregation: str):
+        self.semantic_config = semantic_config
+        self.span_args = {"n": n, "ranks": num_ranks}
+        self.cfg = cfg
+        self.cluster = SimCluster(num_ranks)
+        self.num_ranks = num_ranks
+        self.partition_scheme = partition_scheme
+        self.aggregation = aggregation
+        #: Per folded phase: (cut_edges, replication_factor).
+        self.partition_stats: list[tuple[int, float]] = []
+
+    def vf_merged(self, vertex_to_meta):
+        # The merge map is computed from replicated input and agreed on
+        # via broadcast.
+        self.cluster.broadcast(vertex_to_meta)
+
+    def run_phase(self, graph, state, *, phase_index, color_sets, threshold,
+                  prune):
+        self.part = partition_vertices(graph, self.num_ranks,
+                                       scheme=self.partition_scheme)
+        self.phase_stats = (self.part.cut_edges(graph),
+                            self.part.replication_factor())
+        return _distributed_phase(
+            graph, self.cluster, self.part, state,
+            threshold=threshold,
+            phase_index=phase_index,
+            color_sets=color_sets,
+            use_min_label=self.cfg.use_min_label,
+            max_iterations=self.cfg.max_iterations_per_phase,
+            resolution=self.cfg.resolution,
+            aggregation=self.aggregation,
+            sanitize=self.cfg.sanitize,
+        )
+
+    def assignment(self, state):
+        # Allgather the owned label blocks; the coarse graph is then
+        # rebuilt replicated on every rank.
+        self.partition_stats.append(self.phase_stats)
+        owned = self.part.owned
+        gathered = self.cluster.allgatherv([state.comm[o] for o in owned])
+        assignment = np.empty(state.comm.size, dtype=np.int64)
+        assignment[np.concatenate(owned)] = gathered
+        return assignment
+
+    def checkpoint_extra(self) -> dict:
+        # A checkpoint of the state a phase starts from: the stats of the
+        # phases folded so far.
+        return {
+            "num_ranks": self.num_ranks,
+            "partition_stats": [list(entry)
+                                for entry in self.partition_stats],
+        }
+
+    def restore(self, extra: dict) -> None:
+        self.partition_stats = [
+            tuple(entry) for entry in extra.get("partition_stats", [])
+        ]
 
 
 def distributed_louvain(
@@ -379,19 +443,20 @@ def distributed_louvain(
 
     ``budget`` bounds the run (:class:`~repro.robust.budget.RunBudget`):
     enforced at superstep boundaries; on expiry or SIGINT/SIGTERM the
-    run cancels cooperatively — it returns the best consistent partition
+    run cancels cooperatively (walking the driver's degradation ladder
+    first, under pressure) — it returns the best consistent partition
     seen, reports a ``budget_outcome``, and writes a phase-boundary
     cancellation checkpoint (to ``budget.checkpoint`` or ``checkpoint``)
     whose unbudgeted resume reproduces the unbudgeted final assignment
     bitwise.  The budget is execution mechanics, not semantics: it does
     not enter the checkpoint fingerprint.
     """
-    sanitize = resolve_sanitize(sanitize)
-    tracer = Tracer(enabled=resolve_trace(trace))
     if num_ranks < 1:
         raise ValidationError("num_ranks must be >= 1")
     if aggregation not in ("dense", "sparse"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
+    # Rank count, partition scheme and aggregation are semantic here;
+    # sanitize/trace/fault_plan/budget are not.
     semantic_config = {
         "use_vf": use_vf,
         "use_coloring": use_coloring,
@@ -408,256 +473,33 @@ def distributed_louvain(
         "resolution": resolution,
         "num_ranks": num_ranks,
     }
-    fingerprint = fingerprint_dict(
-        semantic_config, exclude=NONSEMANTIC_CONFIG_FIELDS
+    # Every run-scope setting is explicit: the distributed run reads no
+    # environment default but ``sanitize`` and ``trace``.
+    cfg = LouvainConfig(
+        use_vf=use_vf, use_coloring=use_coloring,
+        multiphase_coloring=multiphase_coloring,
+        coloring_min_vertices=coloring_min_vertices,
+        colored_threshold=colored_threshold,
+        final_threshold=final_threshold, use_min_label=use_min_label,
+        max_phases=max_phases,
+        max_iterations_per_phase=max_iterations_per_phase, seed=seed,
+        resolution=resolution, sanitize=resolve_sanitize(sanitize),
+        trace=resolve_trace(trace), profile=False, metrics_ring=None,
+        fault_plan=fault_plan, budget=budget,
     )
-    cluster = SimCluster(num_ranks)
-    history = ConvergenceHistory()
-    partition_stats: list[tuple[int, float]] = []
-
-    n_original = graph.num_vertices
-    resumed = None
-    if resume is not None:
-        # Fingerprint checked against the meta entry before any array is
-        # materialized (rank count, partition scheme and aggregation are
-        # semantic here; sanitize/trace/fault_plan are not).
-        resumed = load_checkpoint(resume, expected_fingerprint=fingerprint)
-        if resumed.pipeline != "distributed":
-            raise CheckpointError(
-                f"{resume}: checkpoint was written by the "
-                f"{resumed.pipeline!r} pipeline, not distributed_louvain"
-            )
-        if (resumed.n_original != graph.num_vertices
-                or resumed.m_original != graph.num_edges):
-            raise CheckpointError(
-                f"{resume}: graph mismatch — checkpoint recorded "
-                f"n={resumed.n_original} M={resumed.m_original}, got "
-                f"n={graph.num_vertices} M={graph.num_edges}"
-            )
-        history = resumed.history
-        partition_stats = [
-            tuple(entry)
-            for entry in resumed.extra.get("partition_stats", [])
-        ]
-    if n_original == 0:
-        return DistributedResult(
-            communities=np.zeros(0, dtype=np.int64), modularity=0.0,
-            history=history, traffic=cluster.traffic, num_ranks=num_ranks,
-        )
-
-    current = graph
-    mapping = np.arange(n_original, dtype=np.int64)
-    start_phase = 0
-    if resumed is not None:
-        current = resumed.graph
-        mapping = resumed.mapping
-        start_phase = resumed.phase_index
-
-    if use_vf and resumed is None:
-        vf = vf_merge(current)
-        if vf.num_merged:
-            mapping = vf.vertex_to_meta[mapping]
-            current = vf.graph
-            # The merge map is computed from replicated input and agreed on
-            # via broadcast.
-            cluster.broadcast(vf.vertex_to_meta)
-
-    coloring_active = use_coloring
-    last_phase_gain = np.inf
-    if resumed is not None:
-        coloring_active = resumed.coloring_active
-        last_phase_gain = resumed.last_phase_gain
-    # Explicit injector (not the ambient one): the BSP loop has no
-    # ExitStack to restore an ambient scope through an injected raise.
-    injector = FaultInjector.from_plan(fault_plan)
-    # Explicit budget controller for the same reason; the budget is
-    # execution mechanics, so it is not part of semantic_config.
-    controller = BudgetController(budget)
-    cancelled_reason: "str | None" = None
-    cancel_ckpt: "str | None" = None
-
-    def _cancel_checkpoint(next_phase_index, mapping_, graph_,
-                           coloring_active_, gain_, stats_) -> "str | None":
-        # A regular phase-boundary checkpoint of the state the next (or
-        # interrupted) phase starts from — its unbudgeted resume
-        # reproduces the unbudgeted run's final assignment bitwise.
-        path = (budget.checkpoint
-                if budget is not None and budget.checkpoint is not None
-                else checkpoint)
-        if path is None:
-            return None
-        save_checkpoint(path, Checkpoint(
-            pipeline="distributed",
-            phase_index=next_phase_index,
-            mapping=mapping_,
-            graph=graph_,
-            coloring_active=coloring_active_,
-            last_phase_gain=float(gain_),
-            config_fingerprint=fingerprint,
-            config_json=json.dumps(semantic_config),
-            history=history,
-            n_original=n_original,
-            m_original=graph.num_edges,
-            extra={
-                "num_ranks": num_ranks,
-                "partition_stats": [list(entry) for entry in stats_],
-            },
-        ))
-        tracer.count("checkpoint.saved")
-        return str(path)
-
-    with controller.signal_scope():
-      for phase_index in range(start_phase, max_phases):
-        # Budget: cancel at the phase boundary — exactly the regular
-        # checkpoint state.
-        reason = controller.stop_reason()
-        if reason is not None:
-            cancelled_reason = reason
-            with tracer.span("cancellation", cat="budget",
-                             phase=phase_index, reason=reason):
-                cancel_ckpt = _cancel_checkpoint(
-                    phase_index, mapping, current,
-                    coloring_active, last_phase_gain, partition_stats,
-                )
-            tracer.count("run.cancelled")
-            break
-        n = current.num_vertices
-        part = partition_vertices(current, num_ranks, scheme=partition_scheme)
-        partition_stats.append(
-            (part.cut_edges(current), part.replication_factor())
-        )
-        color_this_phase = (
-            coloring_active
-            and n >= coloring_min_vertices
-            and last_phase_gain >= colored_threshold
-            and (multiphase_coloring or phase_index == 0)
-        )
-        if coloring_active and not color_this_phase:
-            coloring_active = False
-        color_sets = None
-        colors = None
-        if color_this_phase:
-            # Every rank colors the (replicated) phase graph with the same
-            # seed — deterministic, so no coordination traffic is needed.
-            with tracer.step("coloring", phase=phase_index):
-                colors = jones_plassmann_coloring(current, seed=seed)
-                color_sets = color_set_partition(colors)
-        threshold = colored_threshold if color_this_phase else final_threshold
-
-        state = init_state(current)
-        # The tracer goes ambient only for the phase call: the superstep
-        # loop's local_compute/halo_exchange/allreduce spans nest under
-        # this clustering step.
-        with tracer.step("clustering", phase=phase_index), use_tracer(tracer):
-            records, start_q, end_q, interrupted = _distributed_phase(
-                current, cluster, part, state,
-                threshold=threshold,
-                phase_index=phase_index,
-                color_sets=color_sets,
-                use_min_label=use_min_label,
-                max_iterations=max_iterations_per_phase,
-                resolution=resolution,
-                aggregation=aggregation,
-                sanitize=sanitize,
-                injector=injector,
-                budget=controller,
-            )
-        if interrupted:
-            # Cancel mid-phase: checkpoint the state this phase started
-            # from (its partition_stats entry excluded), then fold the
-            # partial phase only when it did not lose modularity — the
-            # BSP loop keeps no best-seen state, and anytime results
-            # must stay monotone in completed phases.
-            cancelled_reason = controller.stop_reason() or "deadline"
-            with tracer.span("cancellation", cat="budget",
-                             phase=phase_index, reason=cancelled_reason):
-                cancel_ckpt = _cancel_checkpoint(
-                    phase_index, mapping, current,
-                    coloring_active, last_phase_gain,
-                    partition_stats[:-1],
-                )
-            tracer.count("run.cancelled")
-            if not records or end_q < start_q:
-                partition_stats.pop()
-                break
-        history.iterations.extend(records)
-
-        # Rebuild: allgather the owned label blocks, coarsen replicated.
-        blocks = [state.comm[part.owned[r]] for r in range(num_ranks)]
-        gathered = cluster.allgatherv(blocks)
-        assignment = np.empty(n, dtype=np.int64)
-        assignment[np.concatenate([part.owned[r] for r in range(num_ranks)])] \
-            = gathered
-        with tracer.step("rebuild", phase=phase_index):
-            rebuild = coarsen(current, assignment)
-        history.phases.append(
-            PhaseRecord(
-                phase=phase_index,
-                num_vertices=n,
-                num_edges=current.num_edges,
-                colored=color_this_phase,
-                num_colors=len(color_sets) if color_sets else 0,
-                threshold=threshold,
-                iterations=len(records),
-                start_modularity=start_q,
-                end_modularity=end_q,
-                rebuild_lock_ops=rebuild.lock_ops,
-                rebuild_num_communities=rebuild.num_communities,
-            )
-        )
-        mapping = rebuild.vertex_to_meta[mapping]
-        last_phase_gain = end_q - start_q
-        if not interrupted:
-            controller.note_phase()
-        made_progress = rebuild.num_communities < n
-        converged = last_phase_gain < final_threshold
-        current = rebuild.graph
-        if interrupted:
-            break
-        if converged or not made_progress:
-            break
-        if checkpoint is not None:
-            # Superstep/phase boundary: the allgathered assignment is
-            # already folded into `mapping` and every rank agrees on the
-            # rebuilt graph, so this single replicated snapshot is the
-            # whole BSP state.
-            with tracer.span("checkpoint", cat="robust",
-                             phase=phase_index):
-                save_checkpoint(checkpoint, Checkpoint(
-                    pipeline="distributed",
-                    phase_index=phase_index + 1,
-                    mapping=mapping,
-                    graph=current,
-                    coloring_active=coloring_active,
-                    last_phase_gain=float(last_phase_gain),
-                    config_fingerprint=fingerprint,
-                    config_json=json.dumps(semantic_config),
-                    history=history,
-                    n_original=n_original,
-                    m_original=graph.num_edges,
-                    extra={
-                        "num_ranks": num_ranks,
-                        "partition_stats": [
-                            list(entry) for entry in partition_stats
-                        ],
-                    },
-                ))
-            tracer.count("checkpoint.saved")
-
-    budget_outcome = (
-        controller.outcome(cancelled_reason, cancel_ckpt)
-        if controller.armed else None
+    phases = _BSPPhases(
+        cfg, graph.num_vertices, num_ranks, semantic_config=semantic_config,
+        partition_scheme=partition_scheme, aggregation=aggregation,
     )
-    communities, _ = renumber_labels(mapping)
-    from repro.core.modularity import modularity as full_modularity
-
+    run = run_pipeline(graph, cfg, phases, checkpoint=checkpoint,
+                       resume=resume)
     return DistributedResult(
-        communities=communities,
-        modularity=full_modularity(graph, communities, resolution=resolution),
-        history=history,
-        traffic=cluster.traffic,
+        communities=run.communities,
+        modularity=run.modularity,
+        history=run.history,
+        traffic=phases.cluster.traffic,
         num_ranks=num_ranks,
-        partition_stats=partition_stats,
-        trace=tracer if tracer.enabled else None,
-        budget_outcome=budget_outcome,
+        partition_stats=phases.partition_stats,
+        trace=run.trace,
+        budget_outcome=run.budget_outcome,
     )

@@ -57,10 +57,6 @@ class CoarsenResult:
         ``(n_fine,)`` dense meta-vertex id for every fine vertex.
     num_communities:
         Number of meta-vertices ``k``.
-    intra_weight:
-        Total undirected intra-community edge weight of the fine partition.
-    inter_weight:
-        Total undirected inter-community edge weight.
     lock_ops:
         Number of atomic/lock operations the paper's locked rebuild would
         issue: one per intra-community undirected edge, two per
@@ -70,8 +66,6 @@ class CoarsenResult:
     graph: CSRGraph
     vertex_to_meta: np.ndarray
     num_communities: int
-    intra_weight: float
-    inter_weight: float
     lock_ops: int
 
 
@@ -113,7 +107,7 @@ def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
             f"communities must have shape ({n},), got {comm.shape}"
         )
     if n == 0:
-        return CoarsenResult(CSRGraph.empty(0), comm.astype(np.int64), 0, 0.0, 0.0, 0)
+        return CoarsenResult(CSRGraph.empty(0), comm.astype(np.int64), 0, 0)
     if not np.issubdtype(comm.dtype, np.integer):
         raise ValidationError("communities must be integers")
 
@@ -134,19 +128,6 @@ def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
     intra_edges = (num_intra - num_self) // 2 + num_self
     inter_edges = (nnz - num_intra) // 2
     lock_ops = intra_edges + 2 * inter_edges
-
-    # Index compresses keep the same entries in the same order as boolean
-    # ones, so the sums are the same bits.
-    def weight_where(mask) -> float:
-        return float(np.sum(np.take(w, np.flatnonzero(mask))))
-
-    if num_self:
-        self_entries = graph.indices == graph.row_of_entry()
-        intra_weight = (weight_where(intra_entries & ~self_entries) / 2.0
-                        + weight_where(self_entries))
-    else:
-        intra_weight = weight_where(intra_entries) / 2.0
-    inter_weight = weight_where(~intra_entries) / 2.0
 
     # --- Aggregate directed entries by (src community, dst community) -----
     # Two stable counting transposes: the first buckets the entries by
@@ -170,8 +151,6 @@ def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
         graph=coarse,
         vertex_to_meta=dense,
         num_communities=k,
-        intra_weight=intra_weight,
-        inter_weight=inter_weight,
         lock_ops=lock_ops,
     )
 

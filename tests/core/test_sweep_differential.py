@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import sparse
 
 from repro.core.driver import louvain
+from repro.core.louvain_serial import louvain_serial
 from repro.core.sweep import (
     SweepState,
     apply_moves_tracked,
@@ -41,9 +42,11 @@ from repro.core.workspace import (
 )
 from repro.graph.coarsen import coarsen
 from repro.graph.csr import CSRGraph, gather_rows
+from repro.distributed.louvain_dist import distributed_louvain
 from repro.graph.generators import planted_partition, rmat
+from repro.robust.budget import RunBudget
 from repro.utils.arrays import run_boundaries
-from repro.utils.errors import ValidationError
+from repro.utils.errors import FaultInjected, ValidationError
 
 MODES = ("bincount", "matmul", "sort")
 
@@ -776,3 +779,114 @@ def test_pinned_trajectories(variant):
                             dtype=np.float64)
     assert (_digest(result.communities), repr(result.modularity),
             _digest(trajectory), trajectory.size) == PINNED[variant]
+
+
+def _pin(result) -> tuple:
+    trajectory = np.asarray(result.history.modularity_trajectory(),
+                            dtype=np.float64)
+    return (_digest(result.communities), repr(result.modularity),
+            _digest(trajectory), trajectory.size)
+
+
+#: Every pipeline on ``rmat(11, 8, seed=0)`` — VF merges 295 vertices,
+#: and with ``coloring_min_vertices=64`` the colored variant colors three
+#: phases — recorded before the pipelines shared one phase loop.
+PIPELINE_VARIANTS = {
+    "baseline": {},
+    "baseline+VF": {"use_vf": True},
+    "baseline+VF+Color": {"use_vf": True, "use_coloring": True},
+}
+PINNED_DRIVER = {
+    "baseline": ("cd26079096cefdab", "0.1367708735535902",
+                 "996f4be32057bfe0", 19),
+    "baseline+VF": ("e050c93d19676c82", "0.13780332456216723",
+                    "a3e43a75f8cf62c6", 20),
+    "baseline+VF+Color": ("a323cf0e2ef45cc9", "0.1676950524130375",
+                          "9753e0891c11a956", 13),
+}
+#: Every rank count and aggregation gives the same run.
+PINNED_DISTRIBUTED = {
+    "baseline": ("b1b43c4fbd6856a4", "0.13125941567846106",
+                 "e8bdfaf7dfb0f68a", 15),
+    "baseline+VF": ("85f7c86abbc95caa", "0.13284189697236648",
+                    "942c67f63890c21e", 12),
+    "baseline+VF+Color": ("89cc621ced42cc2d", "0.1666107268468936",
+                          "afa84f15f0e8596b", 13),
+}
+#: The anytime partition of a ``max_iterations=1`` budget cancel; both
+#: pipelines stop after the same first sweep.
+PINNED_CANCELLED = {
+    "baseline": ("1ab079d68306ebc3", "0.057742812459944455",
+                 "78dc7a6ed7a04b3f", 1),
+    "baseline+VF": ("3fd354f1fae6e80e", "0.06287195141776745",
+                    "de3d8029ec799fd1", 1),
+    "baseline+VF+Color": ("0835c557ad747121", "0.07468216711512408",
+                          "cdf141aaa27faffa", 1),
+}
+PINNED_SERIAL = {
+    "natural": ("d8c28359fdbcb871", "0.16229128126457382",
+                "2eb38a55663a88c5", 23),
+    "random": ("4a6bcc1f44311737", "0.16918123671465307",
+               "d21608884623a269", 23),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_graph():
+    return rmat(11, 8, seed=0)
+
+
+@pytest.mark.parametrize("variant", sorted(PIPELINE_VARIANTS))
+@pytest.mark.parametrize("num_ranks", [1, 3])
+@pytest.mark.parametrize("aggregation", ["dense", "sparse"])
+def test_pinned_distributed(pipeline_graph, variant, num_ranks, aggregation):
+    result = distributed_louvain(pipeline_graph, num_ranks,
+                                 aggregation=aggregation,
+                                 coloring_min_vertices=64,
+                                 **PIPELINE_VARIANTS[variant])
+    assert _pin(result) == PINNED_DISTRIBUTED[variant]
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_SERIAL))
+def test_pinned_serial(pipeline_graph, order):
+    result = louvain_serial(pipeline_graph, order=order, seed=1)
+    assert _pin(result) == PINNED_SERIAL[order]
+
+
+@pytest.mark.parametrize("variant", sorted(PIPELINE_VARIANTS))
+def test_driver_resumes_from_every_phase_boundary(pipeline_graph, variant,
+                                                  tmp_path):
+    run = louvain(pipeline_graph, variant=variant, coloring_min_vertices=64)
+    assert _pin(run) == PINNED_DRIVER[variant]
+    assert run.num_phases >= 4
+    for phase in range(1, run.num_phases):
+        path = tmp_path / f"phase{phase}.ckpt.npz"
+        with pytest.raises(FaultInjected):
+            louvain(pipeline_graph, variant=variant, coloring_min_vertices=64,
+                    checkpoint=path, fault_plan=f"raise:phase={phase},sweep=0")
+        resumed = louvain(pipeline_graph, variant=variant,
+                          coloring_min_vertices=64, resume=path)
+        assert _pin(resumed) == PINNED_DRIVER[variant], phase
+
+
+@pytest.mark.parametrize("variant", sorted(PIPELINE_VARIANTS))
+def test_budget_cancel_then_resume(pipeline_graph, variant, tmp_path):
+    driver_ckpt = tmp_path / "driver.ckpt.npz"
+    cancelled = louvain(
+        pipeline_graph, variant=variant, coloring_min_vertices=64,
+        budget=RunBudget(max_iterations=1, checkpoint=str(driver_ckpt)))
+    assert _pin(cancelled) == PINNED_CANCELLED[variant]
+    resumed = louvain(pipeline_graph, variant=variant,
+                      coloring_min_vertices=64, resume=driver_ckpt)
+    assert _pin(resumed) == PINNED_DRIVER[variant]
+
+    dist_ckpt = tmp_path / "distributed.ckpt.npz"
+    flags = dict(PIPELINE_VARIANTS[variant], coloring_min_vertices=64)
+    cancelled = distributed_louvain(
+        pipeline_graph, 3,
+        budget=RunBudget(max_iterations=1, checkpoint=str(dist_ckpt)),
+        **flags)
+    assert _pin(cancelled) == PINNED_CANCELLED[variant]
+    resumed = distributed_louvain(pipeline_graph, 3, resume=dist_ckpt,
+                                  **flags)
+    assert _pin(resumed) == PINNED_DISTRIBUTED[variant]

@@ -108,8 +108,6 @@ class TestCoarsenStructure:
         # self-loop weight equal the sum over directed intra entries (12).
         assert g.self_loop_weight(0) == 12.0
         assert result.num_communities == 2
-        assert result.intra_weight == 12.0
-        assert result.inter_weight == 1.0
 
     def test_label_renumbering_preserves_order(self):
         g = CSRGraph.from_edges(4, [(0, 1), (2, 3)])

@@ -1,9 +1,11 @@
 """Checkpoint persistence and interrupt/resume equivalence on all pipelines."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing as mp
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.core.config import HeuristicVariant, LouvainConfig
 from repro.core.driver import louvain
 from repro.distributed.louvain_dist import distributed_louvain
 from repro.graph.generators import planted_partition
+from repro.robust.budget import RunBudget
 from repro.robust.checkpoint import (
     DIGEST_KEY,
     NONSEMANTIC_CONFIG_FIELDS,
@@ -363,6 +366,16 @@ PINNED_FINGERPRINTS = {
 }
 
 
+#: (num_ranks, partition_scheme, aggregation) -> the distributed run's
+#: fingerprint; rank count, scheme and aggregation are semantic there.
+PINNED_DISTRIBUTED_FINGERPRINTS = {
+    (3, "edge_balanced", "dense"): "fc7e9ebbaaf2db99fba2cb8d800591f2f0da28ea",
+    (3, "edge_balanced", "sparse"):
+        "68efb5a916cd3723d21f8de19d13c067fbaf70db",
+    (2, "block", "dense"): "14442bd6c047bf8ea58986d638b62025bf9599f2",
+}
+
+
 class TestFingerprintPins:
     @staticmethod
     def _config(name):
@@ -381,3 +394,55 @@ class TestFingerprintPins:
         stored["array_backend"] = "numpy"
         assert (fingerprint_dict(stored, exclude=NONSEMANTIC_CONFIG_FIELDS)
                 == PINNED_FINGERPRINTS[name])
+
+    @pytest.mark.parametrize("key", sorted(PINNED_DISTRIBUTED_FINGERPRINTS))
+    def test_distributed_fingerprint_is_pinned(self, key, graph, tmp_path):
+        num_ranks, scheme, aggregation = key
+        path = tmp_path / "cancel.ckpt.npz"
+        distributed_louvain(
+            graph, num_ranks, partition_scheme=scheme,
+            aggregation=aggregation,
+            budget=RunBudget(max_iterations=1, checkpoint=str(path)),
+        )
+        assert (load_checkpoint(path).config_fingerprint
+                == PINNED_DISTRIBUTED_FINGERPRINTS[key])
+
+
+#: Checkpoints written before the pipelines shared one phase loop, by
+#: ``louvain(g, variant="baseline+VF", checkpoint=...)`` and
+#: ``distributed_louvain(g, 3, use_vf=True, checkpoint=...)`` with
+#: ``fault_plan="raise:phase=1,sweep=0"`` on
+#: ``g = planted_partition(5, 16, 0.6, 0.02, seed=1)``; both hold the
+#: phase-1 boundary.  Resuming either gives the uninterrupted run.
+CHECKPOINT_DATA = Path(__file__).parent / "data"
+#: (labels digest, repr(Q)) of the uninterrupted runs.
+PINNED_RESUMED = ("dbae25d3dc381404", "0.693049134948097")
+
+
+class TestCommittedCheckpoints:
+    @pytest.fixture
+    def small(self):
+        return planted_partition(5, 16, 0.6, 0.02, seed=1)
+
+    @staticmethod
+    def _pin(result):
+        labels = np.ascontiguousarray(result.communities).tobytes()
+        return (hashlib.sha256(labels).hexdigest()[:16],
+                repr(result.modularity))
+
+    def test_driver_checkpoint_resumes(self, small):
+        path = CHECKPOINT_DATA / "driver.ckpt.npz"
+        assert load_checkpoint(path).phase_index == 1
+        resumed = louvain(small, variant="baseline+VF", resume=path)
+        assert self._pin(resumed) == PINNED_RESUMED
+        assert self._pin(louvain(small, variant="baseline+VF")) \
+            == PINNED_RESUMED
+
+    def test_distributed_checkpoint_resumes(self, small):
+        path = CHECKPOINT_DATA / "distributed.ckpt.npz"
+        ckpt = load_checkpoint(path)
+        assert ckpt.phase_index == 1
+        assert ckpt.extra["num_ranks"] == 3
+        resumed = distributed_louvain(small, 3, use_vf=True, resume=path)
+        assert self._pin(resumed) == PINNED_RESUMED
+        assert len(resumed.partition_stats) == resumed.history.num_phases
