@@ -84,12 +84,6 @@ class PhaseExecutor:
     #: Root span of the run's trace and its arguments.
     span: str
     span_args: dict
-    #: True when an interrupted phase returns its best-seen state, which
-    #: is never below its input; otherwise a partial phase is folded only
-    #: when it did not lose modularity.
-    keeps_best_seen: bool = True
-    #: Whether a colored phase's record lists its color-class sizes.
-    records_color_classes: bool = True
 
     def __enter__(self) -> "PhaseExecutor":
         return self
@@ -363,14 +357,11 @@ def run_pipeline(
             if interrupted:
                 # Cancel mid-phase: checkpoint the state this phase
                 # *started* from (mapping/graph/history are still
-                # pre-phase here), then fold the partial phase into the
-                # anytime result — unless it has nothing to fold, or it
-                # lost modularity and carries no best-seen state.
+                # pre-phase here), then fold the partial phase — its
+                # best-seen state, never below its input — into the
+                # anytime result, unless it has nothing to fold.
                 cancel(phase_index, controller.stop_reason() or "deadline")
-                if not outcome.records or not (
-                        executor.keeps_best_seen
-                        or outcome.end_modularity
-                        >= outcome.start_modularity):
+                if not outcome.records:
                     break
             history.iterations.extend(outcome.records)
 
@@ -391,8 +382,7 @@ def run_pipeline(
                 rebuild_num_communities=rebuild.num_communities,
                 color_class_sizes=(
                     tuple(color_class_sizes(colors).tolist())
-                    if colors is not None and executor.records_color_classes
-                    else ()
+                    if colors is not None else ()
                 ),
             ))
             dendrogram.push(rebuild.vertex_to_meta, f"phase-{phase_index}")

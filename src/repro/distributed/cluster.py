@@ -2,17 +2,22 @@
 
 A :class:`SimCluster` plays the role of an MPI communicator for the
 bulk-synchronous distributed Louvain: the program is organized as
-supersteps (local compute → collective), and each collective both performs
-the data movement (in process) and charges a :class:`TrafficLog` with the
-bytes/messages a real cluster would move.  An α–β :class:`NetworkModel`
-turns the log into simulated communication time — the distributed-memory
-analogue of :mod:`repro.parallel.costmodel` (see DESIGN.md §1 for why
-simulation substitutes for real hardware here).
+supersteps (local compute → collective), and each collective charges a
+:class:`TrafficLog` with the bytes/messages a real cluster would move.
+The data-carrying collectives also perform the data movement (in
+process); the community-aggregate ones are priced only, because the
+shared sweep loop keeps the replicated aggregates itself.  An α–β
+:class:`NetworkModel` turns the log into simulated communication time —
+the distributed-memory analogue of :mod:`repro.parallel.costmodel` (see
+DESIGN.md §1 for why simulation substitutes for real hardware here).
 
-Collectives implemented (with their standard cost shapes):
+Collectives (with their standard cost shapes), each priced in one place:
 
 * ``allreduce`` — ring algorithm: each rank sends ``2 (p-1)/p`` of the
-  buffer; latency ``2 (p-1) α``.
+  buffer; latency ``2 (p-1) α``.  :meth:`SimCluster.allreduce_sum` moves
+  the data and charges it.
+* ``sparse_allreduce`` — the Vite-style allgather of touched
+  ``(index, value)`` pairs.
 * ``allgatherv`` — ring: each rank receives everyone's block.
 * ``halo_exchange`` — point-to-point neighbor exchange of boundary data.
 """
@@ -89,6 +94,16 @@ class SimCluster:
         if self.num_ranks > 1:
             self.traffic.charge("barrier", 0.0, self.num_ranks)
 
+    def allreduce(self, size: int) -> None:
+        """Charge a ring allreduce of a ``size``-element buffer."""
+        if self.num_ranks > 1:
+            p = self.num_ranks
+            nbytes = size * _ELEMENT_BYTES
+            # Ring allreduce: every rank sends 2 (p-1)/p of the buffer.
+            self.traffic.charge(
+                "allreduce", p * 2 * (p - 1) / p * nbytes, 2 * (p - 1) * p
+            )
+
     def allreduce_sum(self, contributions: "list[np.ndarray]") -> np.ndarray:
         """Element-wise sum of per-rank arrays, visible to every rank."""
         if len(contributions) != self.num_ranks:
@@ -98,46 +113,24 @@ class SimCluster:
             if arr.shape != total.shape:
                 raise ValidationError("allreduce buffers must share a shape")
             total = total + arr
-        if self.num_ranks > 1:
-            p = self.num_ranks
-            nbytes = total.size * _ELEMENT_BYTES
-            # Ring allreduce: every rank sends 2 (p-1)/p of the buffer.
-            self.traffic.charge(
-                "allreduce", p * 2 * (p - 1) / p * nbytes, 2 * (p - 1) * p
-            )
+        self.allreduce(total.size)
         return total
 
-    def sparse_allreduce_sum(
-        self,
-        indices: "list[np.ndarray]",
-        values: "list[np.ndarray]",
-        size: int,
-    ) -> np.ndarray:
-        """Sum sparse per-rank contributions into a dense array.
+    def sparse_allreduce(self, pairs: int) -> None:
+        """Charge a sparse allreduce of ``pairs`` touched entries in all.
 
         The Vite-style optimization of the dense community-degree
         allreduce: each rank ships only its touched ``(index, value)``
-        pairs (implemented as an allgather of pair lists, the standard
-        sparse-allreduce realization), so traffic tracks the number of
-        *moves*, not the community count.
+        pairs (an allgather of pair lists, the standard sparse-allreduce
+        realization), so traffic tracks the number of *moves*, not the
+        community count.
         """
-        if len(indices) != self.num_ranks or len(values) != self.num_ranks:
-            raise ValidationError("one contribution per rank required")
-        total = np.zeros(size, dtype=np.float64)
-        pair_count = 0
-        for idx, val in zip(indices, values):
-            if idx.shape != val.shape:
-                raise ValidationError("indices and values must align")
-            if idx.size:
-                np.add.at(total, idx, val)
-                pair_count += idx.size
-        if self.num_ranks > 1 and pair_count:
+        if self.num_ranks > 1 and pairs:
             p = self.num_ranks
-            nbytes = pair_count * 2 * _ELEMENT_BYTES  # (index, value) pairs
+            nbytes = pairs * 2 * _ELEMENT_BYTES  # (index, value) pairs
             # Allgather of pair lists: every rank receives all others'.
             self.traffic.charge("sparse_allreduce", (p - 1) * nbytes,
                                 (p - 1) * p)
-        return total
 
     def allgatherv(self, blocks: "list[np.ndarray]") -> np.ndarray:
         """Concatenate per-rank blocks; every rank receives the result."""

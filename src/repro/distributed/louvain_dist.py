@@ -3,90 +3,71 @@
 The same pipeline as :mod:`repro.core.driver` — VF preprocessing, optional
 multi-phase coloring, Jacobi sweeps with the minimum-label heuristics,
 threshold schedule, graph rebuilds — organized as a BSP program over a
-vertex-partitioned graph:
+vertex-partitioned graph.  It runs on the driver's own loops: the
+multilevel loop is :func:`repro.core.pipeline.run_pipeline`, and each
+phase is :func:`repro.core.phase.run_phase` with the driver's arguments
+(best-seen state, frontier pruning and incremental modularity included).
+What this module adds is the rank partition of each phase graph, the
+allgather of the phase's assignment, and the traffic.
 
-Per iteration (per color set):
+The traffic is simulated, priced from each sweep's movers.  A phase's
+execution backend is a :class:`_RankSweeps`, which takes the
+``sweep_targets`` seam of :func:`repro.core.sweep.compute_targets` (the
+seam the process backend uses).  Every sweep of a non-empty vertex set
+is one superstep:
 
 1. **local compute** — every rank evaluates Eq. 4 targets for its *owned*
-   active vertices against the snapshot (ghost labels arrived in the
-   previous halo exchange; community degrees are replicated);
-2. **apply + delta** — ranks apply their local moves and form sparse
-   community-degree deltas;
-3. **halo exchange** — each rank sends the changed labels of its boundary
-   vertices to the ranks that ghost them;
-4. **allreduce** — degree/size deltas and the moved count are summed so
-   every rank holds consistent aggregates; modularity follows from an
-   allreduce of per-rank intra-weight partials.
+   swept vertices against the snapshot (ghost labels arrived in the
+   previous halo exchange; community degrees are replicated).  The sweep
+   reads only the snapshot, so the ranks' shares are evaluated in one
+   call;
+2. **halo exchange** — each rank sends the ``(vertex, new label)`` pairs
+   of its moved boundary vertices to every rank that ghosts them;
+3. **allreduce** — the community degree and size deltas (a dense
+   n-vector each, or the touched ``(community, delta)`` pairs under
+   ``aggregation="sparse"``) and the moved count are summed so every rank
+   holds consistent aggregates;
+4. **barrier**.
+
+The commit itself is ``run_phase``'s.  Each iteration then allreduces the
+per-rank intra-weight partials of its modularity, one scalar.  A color
+set that frontier pruning leaves empty is not swept, so it is not a
+superstep.
 
 Between phases the (much smaller) community assignment is allgathered and
 the coarse graph rebuilt replicated on every rank — the standard practice
 for multilevel distributed graph algorithms once the graph has collapsed.
 
-The multilevel loop — VF, the coloring schedule, checkpoints and resume,
-budget cancellation, the rebuild and the records — is
-:func:`repro.core.pipeline.run_pipeline`, shared with the driver.  This
-module supplies its phase (the supersteps above, on a fresh rank
-partition of each phase graph) and its assignment step (the allgather).
-
-Because every superstep applies exactly the shared-memory Jacobi update,
-the distributed run returns **bitwise identical communities** to
-:func:`repro.core.driver.louvain` under the same configuration, for any
-rank count and partition scheme — verified by the test-suite.  What
-*changes* with the rank count is the communication volume, which the
+Because every superstep applies exactly the shared-memory Jacobi update
+through the same loop, the distributed run returns **bitwise identical
+communities** to :func:`repro.core.driver.louvain` under the same
+configuration, for any rank count, partition scheme and aggregation —
+verified by the test-suite.  What *changes* with them is the
+communication volume, which the
 :class:`~repro.distributed.cluster.TrafficLog` captures and the α–β model
 prices.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import LouvainConfig
-from repro.core.history import ConvergenceHistory, IterationRecord
-from repro.core.phase import PhaseOutcome, state_modularity
-from repro.core.pipeline import PhaseExecutor, run_pipeline
-from repro.core.sweep import SweepState, compute_targets_vectorized
-from repro.core.workspace import SweepWorkspace
+from repro.core.driver import _SharedMemoryPhases
+from repro.core.history import ConvergenceHistory
+from repro.core.pipeline import run_pipeline
+from repro.core.sweep import compute_targets_vectorized
 from repro.distributed.cluster import NetworkModel, SimCluster, TrafficLog
 from repro.distributed.partition import RankPartition, partition_vertices
 from repro.graph.csr import CSRGraph
-from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize, snapshot_kernel
+from repro.lint.sanitizer import resolve_sanitize, snapshot_kernel
 from repro.obs.trace import Tracer, get_tracer, resolve_trace
-from repro.robust.budget import BudgetOutcome, RunBudget, get_budget
-from repro.robust.faults import get_injector
+from repro.robust.budget import BudgetOutcome, RunBudget
 from repro.utils.errors import ValidationError
 
 __all__ = ["DistributedResult", "distributed_louvain"]
-
-
-@snapshot_kernel("graph", "state")
-def _rank_local_targets(
-    graph: CSRGraph,
-    state: SweepState,
-    active: np.ndarray,
-    *,
-    use_min_label: bool,
-    resolution: float,
-    workspace: SweepWorkspace,
-    plan_key: object,
-) -> np.ndarray:
-    """Superstep 1 kernel: Eq. 4 targets for one rank's owned vertices.
-
-    Reads only the replicated snapshot (labels from the previous halo
-    exchange, replicated community degrees) — the BSP equivalent of the
-    shared-memory Jacobi sweep, and the region the snapshot sanitizer
-    freezes when ``sanitize`` is on.  ``workspace`` is the phase's; a
-    rank's share of a vertex set is the same every iteration, so its plan
-    (under ``plan_key``) is gathered once per phase.
-    """
-    return compute_targets_vectorized(
-        graph, state, active,
-        use_min_label=use_min_label, resolution=resolution,
-        workspace=workspace, plan_key=plan_key,
-    )
 
 
 @dataclass
@@ -115,211 +96,83 @@ class DistributedResult:
         return (network or NetworkModel()).time(self.traffic)
 
 
-def _distributed_phase(
-    graph: CSRGraph,
-    cluster: SimCluster,
-    part: RankPartition,
-    state: SweepState,
-    *,
-    threshold: float,
-    phase_index: int,
-    color_sets,
-    use_min_label: bool,
-    max_iterations: int,
-    resolution: float,
-    aggregation: str,
-    sanitize: bool = False,
-) -> PhaseOutcome:
-    """One phase as supersteps; mirrors :func:`repro.core.phase.run_phase`.
+class _RankSweeps:
+    """The execution backend of one BSP phase: each sweep is a superstep.
 
-    ``interrupted`` is set when the ambient budget controller requested a
-    stop at a superstep boundary (the committed state is still consistent
-    across ranks).  Unlike ``run_phase`` the BSP loop keeps no best-seen
-    state: ``state`` is the last superstep's.
+    ``run_phase`` hands every sweep to :meth:`sweep_targets` and commits
+    the returned targets itself; this backend computes them and charges
+    the superstep's collectives to the cluster, priced from the movers.
     """
-    n = graph.num_vertices
-    p = cluster.num_ranks
-    all_vertices = np.arange(n, dtype=np.int64)
-    sets = ([all_vertices] if color_sets is None
-            else [np.asarray(s, dtype=np.int64) for s in color_sets if len(s)])
-    set_vertex_counts = tuple(int(s.size) for s in sets)
-    deg = graph.unweighted_degrees
-    set_edge_counts = tuple(int(deg[s].sum()) for s in sets)
-    in_rank = [np.zeros(n, dtype=bool) for _ in range(p)]
-    for r in range(p):
-        in_rank[r][part.owned[r]] = True
-    workspace = SweepWorkspace(graph)
 
-    q_prev = -1.0
-    start_q = state_modularity(graph, state, resolution=resolution)
-    records: list[IterationRecord] = []
-    converged = False
-    interrupted = False
-    tracer = get_tracer()
-    injector = get_injector()
-    budget = get_budget()
+    def __init__(self, cluster: SimCluster, part: RankPartition,
+                 aggregation: str):
+        self.cluster = cluster
+        self.part = part
+        self.aggregation = aggregation
+        # Per-phase scratch, keyed by vertex: which moved this superstep,
+        # and to what label.
+        n = part.owner.size
+        self.moved = np.zeros(n, dtype=bool)
+        self.label = np.zeros(n, dtype=np.int64)
 
-    for iteration in range(max_iterations):
-        if budget.should_stop():
-            interrupted = True
-            break
-        injector.on_sweep(phase_index, iteration)
-        moved_total = 0
-        for set_index, vertex_set in enumerate(sets):
-            # Superstep boundary: the previous set's moves are fully
-            # applied and allreduced, so stopping here leaves every rank
-            # with the same consistent state.
-            if set_index and budget.should_stop():
-                interrupted = True
-                break
-            # -- superstep: local compute on every rank -------------------
-            # Every rank reads the same snapshot; freezing it for the
-            # whole superstep asserts exactly that (no rank may see
-            # another rank's in-flight writes before the halo exchange).
-            targets_by_rank = []
-            active_by_rank = []
-            guard = frozen_snapshot(state) if sanitize else nullcontext()
-            compute_span = tracer.span(
-                "local_compute", phase=phase_index, iteration=iteration,
-                set=set_index,
+    @snapshot_kernel("graph", "state")
+    def sweep_targets(self, graph, state, vertices, *, use_min_label: bool,
+                      resolution: float, aggregation: "str | None" = None,
+                      sanitize: bool = False, rows=None) -> np.ndarray:
+        """One superstep: the sweep's targets, with its traffic charged.
+
+        Reads only the snapshot (``compute_targets`` holds it frozen when
+        ``sanitize`` is on); the commit is the caller's.
+        """
+        tracer = get_tracer()
+        with tracer.span("local_compute", vertices=int(vertices.size)):
+            targets = compute_targets_vectorized(
+                graph, state, vertices,
+                use_min_label=use_min_label, resolution=resolution,
+                aggregation=aggregation, rows=rows,
             )
-            with compute_span, guard:
-                for r in range(p):
-                    active = vertex_set.take(
-                        np.flatnonzero(in_rank[r][vertex_set]))
-                    active_by_rank.append(active)
-                    targets_by_rank.append(
-                        _rank_local_targets(
-                            graph, state, active,
-                            use_min_label=use_min_label,
-                            resolution=resolution,
-                            workspace=workspace, plan_key=(r, set_index),
-                        )
-                    )
-            # -- apply local moves, build deltas ---------------------------
-            sparse_idx = []
-            sparse_deg = []
-            sparse_size = []
-            moved_counts = []
-            changed_by_rank = []
-            k_arr = graph.degrees
+        moved = np.flatnonzero(targets != state.comm[vertices])
+        self._charge(vertices.take(moved), targets.take(moved))
+        return targets
+
+    def _charge(self, movers: np.ndarray, dest: np.ndarray) -> None:
+        """Charge the superstep that moves ``movers`` to ``dest``."""
+        cluster, part = self.cluster, self.part
+        p = cluster.num_ranks
+        tracer = get_tracer()
+        self.moved[movers] = True
+        self.label[movers] = dest
+        # Halo: each rank sends its moved boundary vertices' (vertex id,
+        # new label) pairs to every rank that ghosts them.
+        sends: dict[tuple[int, int], np.ndarray] = {}
+        if movers.size:
             for r in range(p):
-                active = active_by_rank[r]
-                targets = targets_by_rank[r]
-                cur = state.comm[active]
-                moved = np.flatnonzero(targets != cur)
-                mv, src, dst = (active.take(moved), cur.take(moved),
-                                targets.take(moved))
-                if mv.size:
-                    state.comm[mv] = dst
-                # Sparse (index, delta) pairs: -k at the source community,
-                # +k at the destination.
-                idx = np.concatenate([src, dst])
-                d_deg = np.concatenate([-k_arr[mv], k_arr[mv]])
-                d_size = np.concatenate([
-                    -np.ones(mv.size), np.ones(mv.size)
-                ])
-                sparse_idx.append(idx)
-                sparse_deg.append(d_deg)
-                sparse_size.append(d_size)
-                moved_counts.append(np.asarray([mv.size], dtype=np.int64))
-                changed_by_rank.append(set(mv.tolist()))
-            # -- halo exchange of changed boundary labels ------------------
-            sends: dict[tuple[int, int], np.ndarray] = {}
-            for r in range(p):
-                if not changed_by_rank[r]:
-                    continue
                 for s in range(p):
-                    if s == r:
-                        continue
                     boundary = part.boundary_to[r][s]
-                    if boundary.size == 0:
-                        continue
-                    changed = np.asarray(
-                        [v for v in boundary.tolist()
-                         if v in changed_by_rank[r]],
-                        dtype=np.int64,
-                    )
+                    changed = boundary.take(
+                        np.flatnonzero(self.moved[boundary]))
                     if changed.size:
-                        # Payload: (vertex id, new label) pairs.
                         sends[(r, s)] = np.column_stack(
-                            [changed, state.comm[changed]]
-                        ).ravel()
-            with tracer.span("halo_exchange", phase=phase_index,
-                             iteration=iteration, messages=len(sends)):
-                cluster.halo_exchange(sends)
-            # -- allreduce aggregates --------------------------------------
-            with tracer.span("allreduce", phase=phase_index,
-                             iteration=iteration, aggregation=aggregation):
-                if aggregation == "sparse":
-                    state.comm_degree += cluster.sparse_allreduce_sum(
-                        sparse_idx, sparse_deg, n
-                    )
-                    state.comm_size += cluster.sparse_allreduce_sum(
-                        sparse_idx, sparse_size, n
-                    ).astype(np.int64)
-                else:
-                    dense_deg = []
-                    dense_size = []
-                    for idx, dd, ds in zip(sparse_idx, sparse_deg,
-                                           sparse_size):
-                        buf_d = np.zeros(n, dtype=np.float64)
-                        buf_s = np.zeros(n, dtype=np.float64)
-                        if idx.size:
-                            np.add.at(buf_d, idx, dd)
-                            np.add.at(buf_s, idx, ds)
-                        dense_deg.append(buf_d)
-                        dense_size.append(buf_s)
-                    state.comm_degree += cluster.allreduce_sum(dense_deg)
-                    state.comm_size += cluster.allreduce_sum(
-                        dense_size
-                    ).astype(np.int64)
-                moved_total += int(cluster.allreduce_sum(moved_counts)[0])
-            cluster.barrier()
-
-        # -- modularity via per-rank intra partials ------------------------
-        m = graph.total_weight
-        row_of = graph.row_of_entry()
-        partials = []
-        for r in range(p):
-            mine = in_rank[r][row_of]
-            same = state.comm[row_of[mine]] == state.comm[graph.indices[mine]]
-            partials.append(
-                np.asarray([float(graph.weights[mine][same].sum())])
-            )
-        intra = float(cluster.allreduce_sum(partials)[0])
-        q_curr = (intra / (2.0 * m) - resolution * float(
-            np.square(state.comm_degree / (2.0 * m)).sum()
-        )) if m > 0 else 0.0
-        records.append(
-            IterationRecord(
-                phase=phase_index,
-                iteration=iteration,
-                modularity=q_curr,
-                vertices_moved=moved_total,
-                num_communities=state.num_communities(),
-                color_set_vertices=set_vertex_counts,
-                color_set_edges=set_edge_counts,
-            )
-        )
-        budget.note_iteration()
-        if interrupted:
-            # A partial iteration's moved count only covers the sets
-            # that ran — not a convergence signal.
-            break
-        if moved_total == 0 or (q_curr - q_prev) < threshold * abs(q_prev):
-            converged = True
-            break
-        q_prev = q_curr
-
-    end_q = records[-1].modularity if records else start_q
-    return PhaseOutcome(state=state, records=records, start_modularity=start_q,
-                        end_modularity=end_q, converged=converged,
-                        interrupted=interrupted)
+                            [changed, self.label[changed]]).ravel()
+        self.moved[movers] = False
+        with tracer.span("halo_exchange", messages=len(sends)):
+            cluster.halo_exchange(sends)
+        # The degree and size deltas: a dense n-vector each, or the pairs
+        # -k / +k (-1 / +1) at every mover's source and destination.
+        with tracer.span("allreduce", aggregation=self.aggregation):
+            if self.aggregation == "sparse":
+                cluster.sparse_allreduce(2 * movers.size)
+                cluster.sparse_allreduce(2 * movers.size)
+            else:
+                cluster.allreduce(self.moved.size)
+                cluster.allreduce(self.moved.size)
+            counts = np.bincount(part.owner[movers], minlength=p)
+            cluster.allreduce_sum([counts[r:r + 1] for r in range(p)])
+        cluster.barrier()
 
 
-class _BSPPhases(PhaseExecutor):
-    """Supersteps over a fresh rank partition of each phase graph.
+class _BSPPhases(_SharedMemoryPhases):
+    """The driver's phase over a fresh rank partition of each phase graph.
 
     Every rank colors the replicated phase graph with the same seed, so
     the color sets the loop hands in need no coordination traffic.
@@ -327,17 +180,13 @@ class _BSPPhases(PhaseExecutor):
 
     pipeline = "distributed"
     span = "distributed_louvain"
-    keeps_best_seen = False
-    # Its phase records never listed them; a history resumed from an
-    # older checkpoint keeps one form throughout.
-    records_color_classes = False
 
     def __init__(self, cfg: LouvainConfig, n: int, num_ranks: int, *,
                  semantic_config: dict, partition_scheme: str,
                  aggregation: str):
+        self.cfg = cfg
         self.semantic_config = semantic_config
         self.span_args = {"n": n, "ranks": num_ranks}
-        self.cfg = cfg
         self.cluster = SimCluster(num_ranks)
         self.num_ranks = num_ranks
         self.partition_scheme = partition_scheme
@@ -345,28 +194,30 @@ class _BSPPhases(PhaseExecutor):
         #: Per folded phase: (cut_edges, replication_factor).
         self.partition_stats: list[tuple[int, float]] = []
 
+    def __enter__(self) -> "_BSPPhases":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
     def vf_merged(self, vertex_to_meta):
         # The merge map is computed from replicated input and agreed on
         # via broadcast.
         self.cluster.broadcast(vertex_to_meta)
 
-    def run_phase(self, graph, state, *, phase_index, color_sets, threshold,
-                  prune):
+    def run_phase(self, graph, state, **phase):
         self.part = partition_vertices(graph, self.num_ranks,
                                        scheme=self.partition_scheme)
         self.phase_stats = (self.part.cut_edges(graph),
                             self.part.replication_factor())
-        return _distributed_phase(
-            graph, self.cluster, self.part, state,
-            threshold=threshold,
-            phase_index=phase_index,
-            color_sets=color_sets,
-            use_min_label=self.cfg.use_min_label,
-            max_iterations=self.cfg.max_iterations_per_phase,
-            resolution=self.cfg.resolution,
-            aggregation=self.aggregation,
-            sanitize=self.cfg.sanitize,
-        )
+        self.backend = _RankSweeps(self.cluster, self.part,
+                                   self.aggregation)
+        outcome = super().run_phase(graph, state, **phase)
+        # Each iteration's modularity: an allreduce of the per-rank
+        # intra-weight partials.
+        for _ in outcome.records:
+            self.cluster.allreduce(1)
+        return outcome
 
     def assignment(self, state):
         # Allgather the owned label blocks; the coarse graph is then

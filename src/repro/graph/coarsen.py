@@ -16,8 +16,11 @@ The implementation follows the paper's three steps:
       paper's locked OpenMP version), inter-community entries onto both
       endpoint meta-vertices ("two locks").
 
-Steps (ii)–(iii) are two counting transposes and one segment reduce here; the
-per-edge lock counts the OpenMP implementation would have issued are still
+Steps (ii)–(iii) are two counting transposes and one segment reduce here,
+plus a third transpose that gives w(a,b) and w(b,a) the larger of their
+two sums, so every coarse graph is exactly symmetric, as
+:class:`~repro.graph.csr.CSRGraph` requires of its input; the per-edge
+lock counts the OpenMP implementation would have issued are still
 tallied because the simulated-machine cost model charges rebuild contention
 with them (Figs 8–9).
 
@@ -145,7 +148,14 @@ def coarsen(graph: CSRGraph, communities) -> CoarsenResult:
     agg_w = (np.add.reduceat(cw, starts) if starts.size
              else np.zeros(0, dtype=np.float64))
     indptr = np.searchsorted(starts, cp).astype(np.int64)
-    coarse = CSRGraph(indptr, np.take(cj, starts), agg_w, validate=False)
+    cols = np.take(cj, starts)
+    # w(a,b) and w(b,a) were summed over different entry orders, so
+    # non-integer weights may differ in the last bit.  Give both the
+    # larger: the coarse pattern is symmetric with sorted rows, so its
+    # transpose lines up entry for entry.
+    _, _, mirror = _transpose(k, k, indptr.astype(idx), cols, agg_w)
+    np.maximum(agg_w, mirror, out=agg_w)
+    coarse = CSRGraph(indptr, cols, agg_w, validate=False)
 
     return CoarsenResult(
         graph=coarse,

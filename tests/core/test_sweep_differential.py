@@ -790,7 +790,9 @@ def _pin(result) -> tuple:
 
 #: Every pipeline on ``rmat(11, 8, seed=0)`` — VF merges 295 vertices,
 #: and with ``coloring_min_vertices=64`` the colored variant colors three
-#: phases — recorded before the pipelines shared one phase loop.
+#: phases — recorded before the pipelines shared one phase loop.  The
+#: driver and the distributed pipeline, at every rank count and
+#: aggregation, give the same run.
 PIPELINE_VARIANTS = {
     "baseline": {},
     "baseline+VF": {"use_vf": True},
@@ -803,15 +805,6 @@ PINNED_DRIVER = {
                     "a3e43a75f8cf62c6", 20),
     "baseline+VF+Color": ("a323cf0e2ef45cc9", "0.1676950524130375",
                           "9753e0891c11a956", 13),
-}
-#: Every rank count and aggregation gives the same run.
-PINNED_DISTRIBUTED = {
-    "baseline": ("b1b43c4fbd6856a4", "0.13125941567846106",
-                 "e8bdfaf7dfb0f68a", 15),
-    "baseline+VF": ("85f7c86abbc95caa", "0.13284189697236648",
-                    "942c67f63890c21e", 12),
-    "baseline+VF+Color": ("89cc621ced42cc2d", "0.1666107268468936",
-                          "afa84f15f0e8596b", 13),
 }
 #: The anytime partition of a ``max_iterations=1`` budget cancel; both
 #: pipelines stop after the same first sweep.
@@ -844,7 +837,20 @@ def test_pinned_distributed(pipeline_graph, variant, num_ranks, aggregation):
                                  aggregation=aggregation,
                                  coloring_min_vertices=64,
                                  **PIPELINE_VARIANTS[variant])
-    assert _pin(result) == PINNED_DISTRIBUTED[variant]
+    assert _pin(result) == PINNED_DRIVER[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(PIPELINE_VARIANTS))
+def test_distributed_matches_driver_on_rmat13(variant):
+    """A larger graph, on which the sweeps oscillate and the best-seen
+    state and frontier pruning both shape the result."""
+    graph = rmat(13, 8, seed=0)
+    flags = dict(PIPELINE_VARIANTS[variant], coloring_min_vertices=64)
+    shared = louvain(graph, variant=variant, coloring_min_vertices=64)
+    for num_ranks in (1, 2, 3):
+        dist = distributed_louvain(graph, num_ranks, **flags)
+        np.testing.assert_array_equal(dist.communities, shared.communities)
+        assert repr(dist.modularity) == repr(shared.modularity), num_ranks
 
 
 @pytest.mark.parametrize("order", sorted(PINNED_SERIAL))
@@ -889,4 +895,42 @@ def test_budget_cancel_then_resume(pipeline_graph, variant, tmp_path):
     assert _pin(cancelled) == PINNED_CANCELLED[variant]
     resumed = distributed_louvain(pipeline_graph, 3, resume=dist_ckpt,
                                   **flags)
-    assert _pin(resumed) == PINNED_DISTRIBUTED[variant]
+    assert _pin(resumed) == PINNED_DRIVER[variant]
+
+
+def weighted_rmat():
+    """``rmat(11, 8, seed=0)`` with uniform(0.05, 5) weights: four to six
+    phases, whose coarse weights are sums of non-integers."""
+    base = rmat(11, 8, seed=0)
+    u, v, _ = base.edge_arrays()
+    weights = np.random.default_rng(0).uniform(0.05, 5.0, u.size)
+    return CSRGraph.from_edges(base.num_vertices, np.stack([u, v], 1),
+                               weights)
+
+
+@pytest.mark.parametrize("variant", sorted(PIPELINE_VARIANTS))
+def test_weighted_resume_from_every_phase_boundary(variant, tmp_path):
+    """Every coarse graph a weighted run checkpoints passes the symmetry
+    check of ``load_checkpoint``, and both pipelines resume from each
+    phase boundary to the uninterrupted labels."""
+    graph = weighted_rmat()
+    flags = dict(PIPELINE_VARIANTS[variant], coloring_min_vertices=64)
+    runs = {
+        "driver": lambda **kw: louvain(graph, variant=variant,
+                                       coloring_min_vertices=64, **kw),
+        "distributed": lambda **kw: distributed_louvain(graph, 3, **flags,
+                                                        **kw),
+    }
+    for name, run in runs.items():
+        full = run()
+        num_phases = full.history.num_phases
+        assert num_phases >= 4
+        for phase in range(1, num_phases):
+            path = tmp_path / f"{name}{phase}.ckpt.npz"
+            with pytest.raises(FaultInjected):
+                run(checkpoint=path, fault_plan=f"raise:phase={phase},sweep=0")
+            resumed = run(resume=path)
+            np.testing.assert_array_equal(resumed.communities,
+                                          full.communities)
+            assert repr(resumed.modularity) == repr(full.modularity), \
+                (name, phase)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.distributed.cluster import NetworkModel, SimCluster, TrafficLog
+from repro.distributed.louvain_dist import _RankSweeps
+from repro.distributed.partition import partition_vertices
+from repro.graph.generators import path_graph
 from repro.utils.errors import ValidationError
 
 
@@ -30,6 +33,15 @@ class TestCollectives:
         cluster = SimCluster(2)
         with pytest.raises(ValidationError):
             cluster.allreduce_sum([np.zeros(2)])
+
+    def test_sparse_allreduce_pricing(self):
+        cluster = SimCluster(3)
+        cluster.sparse_allreduce(4)
+        # Every rank receives the other ranks' (index, value) pairs.
+        assert cluster.traffic.bytes_by_op["sparse_allreduce"] == 2 * 4 * 16
+        assert cluster.traffic.messages_by_op["sparse_allreduce"] == 2 * 3
+        cluster.sparse_allreduce(0)
+        assert cluster.traffic.messages_by_op["sparse_allreduce"] == 6
 
     def test_allgatherv(self):
         cluster = SimCluster(2)
@@ -69,6 +81,55 @@ class TestCollectives:
     def test_bad_rank_count(self):
         with pytest.raises(ValidationError):
             SimCluster(0)
+
+
+class TestSuperstepPricing:
+    """One superstep on the path 0-1-2-3 over two ranks, {0, 1} and
+    {2, 3}: vertex 1, which rank 1 ghosts, moves to community 2."""
+
+    def price(self, aggregation):
+        cluster = SimCluster(2)
+        part = partition_vertices(path_graph(4), 2, scheme="block")
+        assert part.boundary_to[0][1].tolist() == [1]
+        ranks = _RankSweeps(cluster, part, aggregation)
+        ranks._charge(np.array([1]), np.array([2]))
+        return cluster.traffic
+
+    def test_dense(self):
+        log = self.price("dense")
+        # Halo: rank 0 sends the pair (1, 2) to rank 1.
+        assert (log.bytes_by_op["halo"], log.messages_by_op["halo"]) \
+            == (16.0, 1)
+        # Ring allreduce of the 4-entry degree and size vectors (2·32 B
+        # each: every rank sends 2(p-1)/p of the buffer) and of the
+        # moved count (2·8 B), 2(p-1)p = 4 messages each.
+        assert log.bytes_by_op["allreduce"] == 64.0 + 64.0 + 16.0
+        assert log.messages_by_op["allreduce"] == 12
+        assert "sparse_allreduce" not in log.bytes_by_op
+        assert (log.supersteps, log.messages_by_op["barrier"]) == (1, 2)
+
+    def test_sparse(self):
+        log = self.price("sparse")
+        assert (log.bytes_by_op["halo"], log.messages_by_op["halo"]) \
+            == (16.0, 1)
+        # -k at community 1 and +k at community 2 (and -1 / +1 for the
+        # sizes): two 16 B pairs each, sent to the one other rank.
+        assert log.bytes_by_op["sparse_allreduce"] == 32.0 + 32.0
+        assert log.messages_by_op["sparse_allreduce"] == 4
+        # Only the moved count is allreduced densely.
+        assert log.bytes_by_op["allreduce"] == 16.0
+        assert log.messages_by_op["allreduce"] == 4
+        assert log.supersteps == 1
+
+    def test_no_movers_sends_no_halo(self):
+        cluster = SimCluster(2)
+        part = partition_vertices(path_graph(4), 2, scheme="block")
+        ranks = _RankSweeps(cluster, part, "sparse")
+        ranks._charge(np.zeros(0, np.int64), np.zeros(0, np.int64))
+        log = cluster.traffic
+        assert "halo" not in log.bytes_by_op
+        assert "sparse_allreduce" not in log.bytes_by_op
+        assert log.supersteps == 1
 
 
 class TestNetworkModel:

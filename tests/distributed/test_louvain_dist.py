@@ -42,16 +42,16 @@ class TestIdentityWithSharedMemory:
         np.testing.assert_array_equal(a.communities, b.communities)
 
     def test_iteration_histories_match(self, planted):
-        # The distributed supersteps mirror run_phase's *full* sweeps, so
-        # compare against a run with frontier pruning disabled (pruning
-        # reaches the same partition in fewer tail iterations).
-        shared = louvain(planted, variant="baseline", prune=False)
-        dist = distributed_louvain(planted, 3)
-        np.testing.assert_allclose(
+        # Both pipelines run each phase through run_phase, so the
+        # trajectories and the phase records agree to the bit.
+        shared = louvain(planted, use_coloring=True, coloring_min_vertices=32)
+        dist = distributed_louvain(planted, 3, use_coloring=True,
+                                   coloring_min_vertices=32)
+        np.testing.assert_array_equal(
             dist.history.modularity_trajectory(),
             shared.history.modularity_trajectory(),
-            atol=1e-9,
         )
+        assert dist.history.phases == shared.history.phases
 
     def test_resolution_respected(self, planted):
         shared = louvain(planted, variant="baseline", resolution=2.0)
@@ -92,6 +92,41 @@ class TestTrafficAccounting:
         slow = NetworkModel(alpha=1e-4, beta=1e-8)
         assert dist.communication_time(slow) > dist.communication_time(fast)
 
+    #: (ranks, aggregation) -> (bytes_by_op, messages_by_op, supersteps)
+    #: of ``distributed_louvain(planted, ranks, aggregation=...)``.
+    PINNED_TRAFFIC = {
+        (2, "dense"): (
+            {"allgatherv": 1064.0, "allreduce": 43584.0, "barrier": 0.0,
+             "halo": 4176.0},
+            {"allgatherv": 6, "allreduce": 240, "barrier": 30, "halo": 21},
+            15),
+        (2, "sparse"): (
+            {"allgatherv": 1064.0, "allreduce": 480.0, "barrier": 0.0,
+             "halo": 4176.0, "sparse_allreduce": 34560.0},
+            {"allgatherv": 6, "allreduce": 120, "barrier": 30, "halo": 21,
+             "sparse_allreduce": 48},
+            15),
+        (3, "dense"): (
+            {"allgatherv": 2128.0, "allreduce": 87168.0, "barrier": 0.0,
+             "halo": 7328.0},
+            {"allgatherv": 18, "allreduce": 720, "barrier": 45, "halo": 64},
+            15),
+        (3, "sparse"): (
+            {"allgatherv": 2128.0, "allreduce": 960.0, "barrier": 0.0,
+             "halo": 7328.0, "sparse_allreduce": 69120.0},
+            {"allgatherv": 18, "allreduce": 360, "barrier": 45, "halo": 64,
+             "sparse_allreduce": 144},
+            15),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_TRAFFIC))
+    def test_traffic_pinned(self, planted, key):
+        num_ranks, aggregation = key
+        log = distributed_louvain(planted, num_ranks,
+                                  aggregation=aggregation).traffic
+        assert (log.bytes_by_op, log.messages_by_op, log.supersteps) \
+            == self.PINNED_TRAFFIC[key]
+
     def test_partition_stats_recorded(self, planted):
         dist = distributed_louvain(planted, 4)
         assert len(dist.partition_stats) == dist.history.num_phases
@@ -115,18 +150,6 @@ class TestSparseAggregation:
         sparse_agg = sparse.traffic.bytes_by_op.get("sparse_allreduce", 0.0)
         # Exclude the scalar moved-count allreduce both schemes share.
         assert sparse_agg < dense_agg
-
-    def test_cluster_sparse_allreduce_correct(self):
-        from repro.distributed.cluster import SimCluster
-
-        cluster = SimCluster(2)
-        out = cluster.sparse_allreduce_sum(
-            [np.array([0, 2, 2]), np.array([1])],
-            [np.array([1.0, 2.0, 3.0]), np.array([4.0])],
-            size=4,
-        )
-        assert out.tolist() == [1.0, 4.0, 5.0, 0.0]
-        assert cluster.traffic.bytes_by_op["sparse_allreduce"] > 0
 
     def test_unknown_aggregation_rejected(self, planted):
         with pytest.raises(ValidationError):

@@ -1,9 +1,11 @@
 """Unit tests for the between-phase graph rebuild (paper §5.5).
 
 ``coarsen`` groups the fine entries by (src community, dst community)
-with two stable counting transposes.  The stable ``argsort`` over the
-key ``src_c * k + dst_c`` that it replaced is kept here as an oracle:
-the coarse graphs must be equal byte for byte, weights included.
+with two stable counting transposes, then gives both entries of a pair
+the larger of their two sums.  The stable ``argsort`` over the key
+``src_c * k + dst_c`` that it replaced is kept here as an oracle, with
+the pair's other entry found by key lookup: the coarse graphs must be
+equal byte for byte, weights included.
 """
 
 import numpy as np
@@ -33,6 +35,9 @@ def argsort_coarse_graph(graph: CSRGraph, communities) -> CSRGraph:
     agg_w = (np.add.reduceat(w_sorted, starts) if starts.size
              else np.zeros(0, dtype=np.float64))
     agg_key = np.take(key_sorted, starts) if starts.size else key_sorted
+    # Both entries of a pair take the larger of their two sums.
+    rows, cols = agg_key // k, agg_key % k
+    agg_w = np.maximum(agg_w, agg_w[np.searchsorted(agg_key, cols * k + rows)])
     counts = np.bincount(agg_key // k, minlength=k)
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -54,15 +59,25 @@ def graphs_and_labels(draw):
     dst = np.asarray(draw(st.lists(st.integers(0, max(n - 1, 0)),
                                    min_size=num_edges, max_size=num_edges)),
                      dtype=np.int64)
-    weighted = draw(st.booleans())
-    w = (np.asarray(draw(st.lists(
-        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
-        min_size=num_edges, max_size=num_edges)), dtype=np.float64)
-        if weighted else None)
+    weights = draw(st.sampled_from(["unit", "drawn", "uniform"]))
+    w = None
+    if weights == "drawn":
+        w = np.asarray(draw(st.lists(
+            st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=num_edges, max_size=num_edges)), dtype=np.float64)
+    elif weights == "uniform":
+        # Arbitrary floats, whose sums round differently in different
+        # orders (hypothesis's draws favour exactly representable ones).
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = rng.uniform(1e-3, 1e3, num_edges)
     graph = from_edge_array(n, np.stack([src, dst], axis=1).reshape(-1, 2),
                             w, combine="sum")
-    shape = draw(st.sampled_from(["random", "one", "singletons"]))
-    if shape == "one":
+    shape = draw(st.sampled_from(["random", "few", "one", "singletons"]))
+    if shape == "few":
+        # Large communities: every coarse weight sums many fine entries.
+        labels = np.asarray(draw(st.lists(st.integers(0, 2), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+    elif shape == "one":
         labels = np.full(n, 7, dtype=np.int64)
     elif shape == "singletons":
         labels = np.arange(n, dtype=np.int64) * 3 - 5
@@ -77,8 +92,13 @@ class TestCoarsenDifferential:
     @given(graphs_and_labels())
     def test_matches_argsort_oracle(self, case):
         graph, labels = case
-        assert graph_bytes(coarsen(graph, labels).graph) == graph_bytes(
+        coarse = coarsen(graph, labels).graph
+        assert graph_bytes(coarse) == graph_bytes(
             argsort_coarse_graph(graph, labels))
+        # Exactly symmetric, weights included, as a checkpoint's coarse
+        # graph must be to load.
+        CSRGraph(coarse.indptr, coarse.indices, coarse.weights,
+                 validate=True)
 
     @pytest.mark.parametrize("groups", [1, 5, 34])
     def test_karate_bytes(self, karate, groups):

@@ -148,21 +148,21 @@ class TestDistributedGuards:
     PATH = "src/repro/distributed/louvain_dist.py"
 
     def test_snapshot_write_in_kernel_helper_is_caught(self, real_sources):
-        # _rank_local_targets is @snapshot_kernel("graph", "state"): give
-        # it a helper that commits moves in place — the historical
+        # _RankSweeps.sweep_targets is @snapshot_kernel("graph", "state"):
+        # give it a helper that commits moves in place — the historical
         # Gauss-Seidel leak the BSP discipline exists to prevent.
         mutated = mutate(
             real_sources, self.PATH,
-            '@snapshot_kernel("graph", "state")',
+            "class _RankSweeps:",
             "def _eager_commit(state, active):\n"
             "    state.comm[active] = 0\n\n\n"
-            '@snapshot_kernel("graph", "state")',
+            "class _RankSweeps:",
         )
         mutated = mutate(
             mutated, self.PATH,
-            "    return compute_targets_vectorized(",
-            "    _eager_commit(state, active)\n"
-            "    return compute_targets_vectorized(",
+            "            targets = compute_targets_vectorized(",
+            "            _eager_commit(state, vertices)\n"
+            "            targets = compute_targets_vectorized(",
         )
         findings = ip_findings(mutated)
         assert any(

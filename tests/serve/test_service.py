@@ -86,6 +86,27 @@ class TestExecution:
         # The checkpoint is cleaned up once the job is done.
         assert not os.path.exists(checkpoint_path(service.spool, job_id))
 
+    def test_weighted_worker_crash_resumes_bitwise(self, service):
+        """MG1 is weighted, so the phase-1 checkpoint holds a coarse graph
+        of non-integer weight sums, which must load and resume exactly."""
+        graph_ref = "dataset:MG1?scale=0.5&seed=1"
+        job_id = service.submit({
+            "graph": graph_ref,
+            "config": {"fault_plan": "raise:phase=1,sweep=0"},
+        })
+        record = wait_terminal(service, job_id)
+        assert record["status"] == JobStatus.DONE
+        assert record["attempts"] == 2
+        assert record["meta"]["resumed_from_phase"] == 1
+        from repro.serve.job import resolve_graph_ref
+
+        direct = louvain(resolve_graph_ref(graph_ref))
+        result = service.result(job_id)
+        np.testing.assert_array_equal(
+            np.asarray(result["communities"]), direct.communities
+        )
+        assert result["meta"]["modularity"] == direct.modularity
+
     def test_sigkill_mid_phase_resumes_from_checkpoint(self, service):
         """A real SIGKILL (not an injected raise) mid-run: the job still
         completes bitwise-identically via checkpoint resume.
