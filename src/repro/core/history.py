@@ -35,8 +35,11 @@ class IterationRecord:
     (``None`` on records produced before pruning existed, meaning "all of
     it"), while the ``color_set_*`` tuples keep the full set sizes so the
     sweep structure stays visible.  ``aggregation`` names the e_{v→C}
-    aggregation path the iteration used (``"sort"``, ``"bincount"``,
-    ``"matmul"``; empty for the reference kernel).
+    aggregation path (``"sort"``, ``"bincount"``, ``"matmul"``) that the
+    in-process kernel resolves for the iteration's last swept set with
+    non-loop entries, from that set's size and entry count — the same on
+    every backend, however the sweep was dispatched; empty for the
+    reference kernel or when no swept set had such an entry.
     """
 
     phase: int

@@ -45,7 +45,7 @@ from repro.core.sweep import (
     apply_moves_tracked,
     compute_targets,
 )
-from repro.core.workspace import SweepWorkspace
+from repro.core.workspace import SweepWorkspace, resolve_aggregation
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import resolve_sanitize
 from repro.obs.trace import get_tracer
@@ -194,6 +194,17 @@ def run_phase(
     # Per-set active subsets (full sets until pruning shrinks them).
     active_sets: list[np.ndarray] = list(sets)
     unweighted_deg = graph.unweighted_degrees
+    # Loop-free entries per vertex: each swept set's aggregation path is
+    # resolved from the whole set, as the in-process kernel resolves it,
+    # before dispatch — thread chunks, process workers and ranks each
+    # sweep only a part of it, so the history reads the same on every
+    # backend.
+    if kernel != "vectorized" or m <= 0:
+        loop_free_deg = None
+    elif graph.num_self_loops:
+        loop_free_deg = np.diff(workspace.rows.indptr)
+    else:
+        loop_free_deg = unweighted_deg
     # One mask for the whole phase; apply_moves_tracked ORs each sweep's
     # frontier into it (O(edges touched), no edge-sized sort+unique).
     frontier_mask = np.zeros(n, dtype=bool) if track else None
@@ -216,6 +227,7 @@ def run_phase(
         moved = 0
         active_vertices = 0
         active_edges = 0
+        mode = ""
         full_sweep = all(
             act.size == full.size for act, full in zip(active_sets, sets)
         )
@@ -231,7 +243,14 @@ def run_phase(
                     interrupted = True
                     break
                 active_vertices += int(act.size)
-                active_edges += int(unweighted_deg[act].sum())
+                entries = int(unweighted_deg[act].sum())
+                active_edges += entries
+                if loop_free_deg is not None:
+                    num_pairs = (entries if loop_free_deg is unweighted_deg
+                                 else int(loop_free_deg[act].sum()))
+                    if num_pairs:
+                        mode = resolve_aggregation(aggregation, int(act.size),
+                                                   n, num_pairs)
                 with tracer.span("sweep", set=set_index, vertices=int(act.size)):
                     targets = compute_targets(
                         graph, state, act,
@@ -258,8 +277,8 @@ def run_phase(
             tracer.count("sweep.moves", moved)
             tracer.observe("iteration.moves", moved)
             tracer.observe("iteration.active_vertices", active_vertices)
-            if workspace is not None and workspace.last_aggregation:
-                tracer.count(f"aggregation.{workspace.last_aggregation}")
+            if mode:
+                tracer.count(f"aggregation.{mode}")
         records.append(
             IterationRecord(
                 phase=phase_index,
@@ -271,8 +290,7 @@ def run_phase(
                 color_set_edges=set_edge_counts,
                 active_vertices=active_vertices,
                 active_edges=active_edges,
-                aggregation=(workspace.last_aggregation or ""
-                             if workspace is not None else ""),
+                aggregation=mode,
             )
         )
         if q_curr > best_q:

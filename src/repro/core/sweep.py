@@ -263,11 +263,7 @@ def compute_targets_vectorized(
     if plan.block.nnz == 0:
         return cur.copy()
 
-    pair_indptr, pair_comm, e, mode_used = aggregate_pairs(
-        plan, state.comm, n, mode
-    )
-    if workspace is not None:
-        workspace.last_aggregation = mode_used
+    pair_indptr, pair_comm, e, _ = aggregate_pairs(plan, state.comm, n, mode)
 
     num_active = vertices.size
     k_v = plan.degrees

@@ -176,8 +176,10 @@ def build_plan(graph: CSRGraph, vertices: np.ndarray,
     )
 
 
-def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int) -> str:
-    """Pick the concrete aggregation path for one sweep.
+def resolve_aggregation(mode: str, num_active: int, n: int,
+                        num_pairs: int) -> str:
+    """Pick the concrete aggregation path for one sweep of ``num_active``
+    vertices with ``num_pairs`` loop-free entries.
 
     The bincount path costs O(key range); it is linear overall only when
     ``num_active·(n+1)`` stays within a small multiple of the entry count,
@@ -253,7 +255,7 @@ def aggregate_pairs(
     if mode not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {mode!r}")
     num_active = plan.vertices.size
-    mode = _resolve_mode(mode, num_active, n, plan.block.nnz)
+    mode = resolve_aggregation(mode, num_active, n, plan.block.nnz)
 
     if mode == "matmul":
         return (*_smmp_pairs(plan.block, comm, n), mode)
@@ -308,8 +310,6 @@ class SweepWorkspace:
             raise ValidationError(f"unknown aggregation {aggregation!r}")
         self.graph = graph
         self.aggregation = aggregation
-        #: Aggregation path the most recent sweep actually used.
-        self.last_aggregation: str | None = None
         #: The graph's :func:`loop_free_rows`, for this workspace's life.
         self.rows = loop_free_rows(graph)
         self._plans: dict[object, GatherPlan] = {}

@@ -8,12 +8,8 @@ loop: it compares a *fresh* set of records against the committed ones
 and exits non-zero when the hot path got slower or worse — the CI smoke
 gate that catches a perf regression before a human reads a number.
 
-Comparison is **provenance-aware**: records carry ``commit``, ``date``
-and ``backend`` stamps.  A commit/date mismatch is expected for a fresh
-run and merely noted; a **backend** mismatch (records from different
-array libraries) makes wall-clock comparison meaningless, so such pairs
-are skipped with a note instead of judged.  Records written here always
-stamp ``"numpy"``.
+Records carry ``commit``, ``date`` and ``backend`` stamps.  A commit
+mismatch is expected for a fresh run and merely noted.
 
 Per matched record pair two checks run:
 
@@ -158,8 +154,7 @@ def compare_records(committed: list[dict], fresh: list[dict], *,
         if other is None:
             notes.append(f"{key}: no fresh record — skipped")
             continue
-        prov = (record.get("commit"), other.get("commit"),
-                record.get("backend"), other.get("backend"))
+        prov = (record.get("commit"), other.get("commit"))
         if prov not in seen_provenance:
             seen_provenance.add(prov)
             if record.get("commit") != other.get("commit"):
@@ -168,13 +163,6 @@ def compare_records(committed: list[dict], fresh: list[dict], *,
                     f"vs fresh@{str(other.get('commit'))[:12]} "
                     "(expected for a fresh run)"
                 )
-        if record.get("backend") != other.get("backend"):
-            notes.append(
-                f"{key}: backend mismatch ({record.get('backend')} vs "
-                f"{other.get('backend')}) — wall-clock not comparable, "
-                "skipped"
-            )
-            continue
         base = float(record.get("seconds", math.nan))
         new = float(other.get("seconds", math.nan))
         limit = base + max(base * tol_ratio, tol_seconds)

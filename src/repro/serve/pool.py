@@ -68,6 +68,11 @@ _WORKER_POLL_S = 0.5
 #: boundary after checkpointing — requeue, don't count it as a failure.
 _DONE_STATUSES = ("ok", "error", "drained")
 
+#: What :meth:`WorkerPool.wake` posts on the completion queue.  It ends
+#: the control loop's :meth:`WorkerPool.wait`; :meth:`WorkerPool.drain_done`
+#: drops it like any message that is not a completion.
+_WAKE = ("wake",)
+
 #: Cancellation reasons that mean "the service is draining", not "the
 #: job's own budget expired" — the attempt stops without a result file.
 _DRAIN_REASONS = frozenset({"sigterm", "sigint"})
@@ -284,10 +289,13 @@ class WorkerPool:
     """Spawn/assign/reap job workers (driven by the service control loop).
 
     All methods are intended to be called from one thread (the service's
-    control loop) plus :meth:`close` at shutdown; the pool itself holds
-    no locks.  ``fork`` is preferred (zero-cost module inheritance);
-    spawn-only platforms work too because tasks are plain JSON-able data
-    and :func:`_worker_main` is a module-level function.
+    control loop) plus :meth:`close` at shutdown and :meth:`wake` from
+    any thread; the pool itself holds no locks.  The loop blocks in
+    :meth:`wait` on the completion queue, so a worker's completion
+    message and a :meth:`wake` token both end its wait at once.
+    ``fork`` is preferred (zero-cost module inheritance); spawn-only
+    platforms work too because tasks are plain JSON-able data and
+    :func:`_worker_main` is a module-level function.
     """
 
     #: Seconds a kill()ed worker gets to honor SIGTERM (checkpoint at a
@@ -302,6 +310,8 @@ class WorkerPool:
         self._slots: dict[int, _WorkerSlot] = {}
         self._next_id = 0
         self._retired_queues: list = []
+        #: The message that ended the last :meth:`wait`, not yet drained.
+        self._held = None
         #: Freshest advisory heartbeat per live worker id.
         self.heartbeats: dict[int, tuple] = {}
 
@@ -453,19 +463,46 @@ class WorkerPool:
 
     # -- message drains -------------------------------------------------
 
+    def wake(self) -> None:
+        """End a pending :meth:`wait` now (callable from any thread).
+
+        The token rides the completion queue, so a wake posted while the
+        control loop is busy waits there for its next :meth:`wait`
+        instead of being lost.
+        """
+        try:
+            self._done_q.put(_WAKE)
+        except (OSError, ValueError):
+            pass  # queue closed: the pool is shut down, nothing to wake
+
+    def wait(self, timeout: float) -> None:
+        """Block until a completion message or a wake token arrives, or
+        ``timeout`` seconds pass.  The message is kept for the next
+        :meth:`drain_done`, which handles it first."""
+        if self._held is not None:
+            return
+        try:
+            self._held = self._done_q.get(timeout=timeout)
+        except (queue_mod.Empty, OSError, EOFError):
+            pass
+
     def drain_done(self) -> "list[tuple[int, str, str, dict]]":
         """Non-blocking drain of validated completion messages.
 
-        Malformed messages (a dying worker can truncate a put) and
-        messages from retired worker ids (raced out by the sender's own
-        death — the job has been or will be requeued) are dropped.
+        Wake tokens, malformed messages (a dying worker can truncate a
+        put) and messages from retired worker ids (raced out by the
+        sender's own death — the job has been or will be requeued) are
+        dropped.
         """
         out: list[tuple[int, str, str, dict]] = []
         while True:
-            try:
-                msg = self._done_q.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                break
+            if self._held is not None:
+                msg, self._held = self._held, None
+            else:
+                try:
+                    msg = self._done_q.get_nowait()
+                except (queue_mod.Empty, OSError, EOFError):
+                    break
             if not (isinstance(msg, tuple) and len(msg) == 5
                     and msg[0] == "done" and isinstance(msg[1], int)
                     and isinstance(msg[2], str) and msg[3] in _DONE_STATUSES

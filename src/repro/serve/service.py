@@ -31,8 +31,14 @@ artifacts carry content digests; a corrupt checkpoint or result is
 detected, counted (``serve.spool_corrupt``) and recomputed instead of
 poisoning an answer.
 
-The control loop runs on one background thread paced by ``Event.wait``
-(woken early by submits/cancels), and it alone touches the pool;
+The control loop runs on one background thread that blocks on the
+pool's completion queue (:meth:`WorkerPool.wait`): a worker's completion
+message wakes it, so the tick that records a job as done also
+dispatches the next queued one, and submit/cancel/drain/stop post a wake
+token into the same queue.  Without either, the wait times out after
+:attr:`JobService.POLL_INTERVAL_S` for housekeeping: reaping dead
+workers, kill escalation, autoscaling, heartbeats and gauges.  The loop
+alone touches the pool (besides :meth:`WorkerPool.wake`);
 submit/status/result/cancel only touch the broker and the records dict
 under a lock.  State a worker needs is derived, never handed over:
 checkpoint and result files live in the **spool** directory at paths
@@ -108,7 +114,8 @@ class AutoscalePolicy:
 class JobService:
     """Submit/track/cancel detection jobs on a crash-tolerant worker pool."""
 
-    #: Control-loop pacing when nothing wakes it earlier.
+    #: Housekeeping period: the control loop's wait times out after this
+    #: when no completion message or wake token ends it earlier.
     POLL_INTERVAL_S = 0.05
 
     def __init__(self, spool: str, *, broker: "Broker | None" = None,
@@ -151,7 +158,6 @@ class JobService:
         self._next_job = 0
         self._kill_requests: set[str] = set()
         self._draining = False
-        self._wake = threading.Event()
         self._stop = threading.Event()
         self._started = monotonic()
         self._thread: "threading.Thread | None" = None
@@ -340,7 +346,7 @@ class JobService:
         self._fault("serve.submit")
         self.tracer.count("serve.jobs_submitted")
         self.tracer.gauge("serve.queue_depth", float(self.broker.depth()))
-        self._wake.set()
+        self.pool.wake()
         return job_id
 
     def status(self, job_id: str) -> "dict | None":
@@ -383,7 +389,7 @@ class JobService:
                     self.broker.put(job_id, record.spec.priority, force=True)
                     if self.wal is not None:
                         self.wal.append("job_requeue", job=job_id)
-            self._wake.set()
+            self.pool.wake()
             return None
         return {
             "job_id": job_id,
@@ -406,7 +412,7 @@ class JobService:
             if self.wal is not None:
                 self.wal.append("job_cancel", job=job_id)
         self.tracer.count("serve.jobs_cancelled")
-        self._wake.set()
+        self.pool.wake()
         return True
 
     def stats(self) -> dict:
@@ -434,7 +440,7 @@ class JobService:
 
     def stop(self) -> None:
         self._stop.set()
-        self._wake.set()
+        self.pool.wake()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
@@ -458,7 +464,7 @@ class JobService:
         """
         with self._lock:
             self._draining = True
-        self._wake.set()
+        self.pool.wake()
         self.pool.signal_busy(signal.SIGTERM)
         pacer = threading.Event()
         deadline = monotonic() + timeout
@@ -479,10 +485,9 @@ class JobService:
     def _run(self) -> None:
         while not self._stop.is_set():
             self._tick()
-            self._wake.clear()
-            # Event.wait gives bounded pacing *and* instant wake-up on
-            # submit/cancel; a bare sleep would add latency to both.
-            self._wake.wait(self.POLL_INTERVAL_S)
+            # Ends at once on a completion or a wake token — one posted
+            # during the tick included, since it waits in the queue.
+            self.pool.wait(self.POLL_INTERVAL_S)
 
     def _tick(self) -> None:
         self._service_kill_requests()
@@ -493,8 +498,10 @@ class JobService:
             self._on_done(worker_id, job_id, status, meta)
         for worker_id, job_id in self.pool.reap():
             self._on_worker_death(worker_id, job_id)
-        self._dispatch()
+        # Size the pool first, so a worker spawned for the backlog (or
+        # to replace a dead one) gets its job in this tick.
         self._autoscale()
+        self._dispatch()
         if (self.wal is not None
                 and self.wal.records_written >= self.compact_every):
             self._compact()

@@ -8,6 +8,7 @@ from repro.coloring.validate import color_set_partition
 from repro.core.modularity import modularity
 from repro.core.phase import run_phase, state_modularity
 from repro.core.sweep import init_state
+from repro.core.workspace import aggregate_pairs, build_plan
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, planted_partition
 
@@ -87,6 +88,35 @@ class TestRunPhase:
         o2 = run_phase(planted, s2, threshold=1e-4, kernel="reference")
         np.testing.assert_array_equal(s1.comm, s2.comm)
         assert o1.end_modularity == pytest.approx(o2.end_modularity)
+
+    @pytest.mark.parametrize("mode", ["sort", "bincount", "matmul"])
+    def test_records_name_the_forced_aggregation(self, planted, mode):
+        out = run_phase(planted, init_state(planted), threshold=1e-4,
+                        aggregation=mode)
+        assert {r.aggregation for r in out.records} == {mode}
+        ref = run_phase(planted, init_state(planted), threshold=1e-4,
+                        kernel="reference")
+        assert {r.aggregation for r in ref.records} == {""}
+
+    @pytest.mark.parametrize("groups", [4, 40])  # bincount, matmul
+    def test_records_name_the_kernels_auto_choice(self, groups):
+        # Unpruned and uncolored, every iteration sweeps all vertices, so
+        # each record must name the path the kernel picks for that set;
+        # the loops are entries the kernel does not aggregate.
+        base = planted_partition(groups, 50, 0.3, 1e-3, seed=1)
+        u, v, w = base.edge_arrays()
+        loops = np.arange(0, base.num_vertices, 3)
+        graph = CSRGraph.from_edges(
+            base.num_vertices,
+            np.column_stack([np.concatenate([u, loops]),
+                             np.concatenate([v, loops])]),
+            np.concatenate([w, np.ones(loops.size)]))
+        n = graph.num_vertices
+        expected = aggregate_pairs(build_plan(graph, np.arange(n)),
+                                   np.zeros(n, np.int64), n, "auto")[3]
+        out = run_phase(graph, init_state(graph), threshold=1e-4,
+                        prune=False)
+        assert {r.aggregation for r in out.records} == {expected}
 
     def test_empty_graph(self):
         g = CSRGraph.empty(0)

@@ -155,7 +155,6 @@ class TestDifferentialKernels:
             apply_moves(planted, with_ws, verts, tw)
             apply_moves(planted, fresh, verts, tf)
         assert ws.num_cached_plans == 1
-        assert ws.last_aggregation == mode
 
 
 # ---------------------------------------------------------------------------

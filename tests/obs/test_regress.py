@@ -104,13 +104,6 @@ class TestCompareRecords:
         comparisons, _ = compare_records(committed, fresh)
         assert all(c.ok for c in comparisons)
 
-    def test_backend_mismatch_is_skipped_with_note(self):
-        committed = [kernel_record(backend="numpy", seconds=1.0)]
-        fresh = [kernel_record(backend="cupy", seconds=50.0)]
-        comparisons, notes = compare_records(committed, fresh)
-        assert comparisons == []
-        assert any("backend mismatch" in n for n in notes)
-
     def test_commit_mismatch_is_note_not_failure(self):
         committed = [kernel_record(commit="aaaa")]
         fresh = [kernel_record(commit="bbbb")]

@@ -76,6 +76,32 @@ class TestFullPipeline:
                        backend="processes", num_threads=2)
         np.testing.assert_array_equal(serial.communities, proc.communities)
 
+    @pytest.mark.parametrize("graph_name", ["planted", "rmat"])
+    @pytest.mark.parametrize("variant", ["baseline", "baseline+VF+Color"])
+    def test_histories_match_every_backend(self, graph_name, variant):
+        """Whole iteration records agree, ``aggregation`` included: it is
+        resolved from each swept set before dispatch, not reported by
+        whichever kernel call ran in this process."""
+        from repro.distributed import distributed_louvain
+        from repro.graph.generators import planted_partition, rmat
+
+        graph = (planted_partition(40, 50, 0.3, 1e-3, seed=1)
+                 if graph_name == "planted" else rmat(11, 8, seed=0))
+        flags = dict(variant=variant, coloring_min_vertices=64)
+        serial = louvain(graph, **flags).history.iterations
+        assert {r.aggregation for r in serial} <= {"bincount", "matmul"}
+        runs = {
+            "threads": louvain(graph, backend="threads", num_threads=2,
+                               **flags),
+            "processes": louvain(graph, backend="processes", num_threads=2,
+                                 **flags),
+            "distributed": distributed_louvain(
+                graph, 3, coloring_min_vertices=64,
+                use_vf=variant != "baseline",
+                use_coloring=variant == "baseline+VF+Color"),
+        }
+        for name, run in runs.items():
+            assert run.history.iterations == serial, name
 
     def test_pruned_phase_keeps_one_plan_per_chunk(self, planted):
         """A pruned frontier changes every chunk's extent each iteration;

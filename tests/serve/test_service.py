@@ -549,3 +549,96 @@ class TestKillEscalation:
         assert drained == [(0, "job-000000", "drained", {})]
         assert slot.kill_job is None and slot.kill_deadline is None
         assert not process.killed
+
+
+class TestEventDrivenCompletion:
+    """A completion message or a wake token ends the control loop's wait,
+    so jobs move without the housekeeping tick: each test sets
+    ``POLL_INTERVAL_S`` to 30 s on its instance, far past its deadline."""
+
+    def _service(self, tmp_path, **policy):
+        svc = JobService(str(tmp_path / "spool"),
+                         policy=AutoscalePolicy(**policy) if policy else None)
+        svc.POLL_INTERVAL_S = 30.0
+        return svc
+
+    @pytest.mark.parametrize("min_workers", [1, 0])
+    def test_job_finishes_without_the_timer_tick(self, tmp_path,
+                                                 min_workers):
+        # min_workers=0: the submit's tick spawns the worker and hands
+        # it the job in that same tick.
+        svc = self._service(tmp_path, min_workers=min_workers).start()
+        try:
+            time.sleep(0.3)  # the loop's first tick is over: it now waits
+            job_id = svc.submit({"graph": "planted:3x12"})
+            record = wait_terminal(svc, job_id, timeout=10.0)
+            assert record["status"] == JobStatus.DONE
+        finally:
+            svc.stop()
+
+    def test_next_job_starts_when_the_previous_finishes(self, tmp_path):
+        svc = self._service(tmp_path, min_workers=1, max_workers=1).start()
+        try:
+            jobs = [svc.submit({"graph": f"planted:3x12?seed={i}"})
+                    for i in range(2)]
+            records = [wait_terminal(svc, job_id, timeout=10.0)
+                       for job_id in jobs]
+            assert all(r["status"] == JobStatus.DONE for r in records)
+            first, second = sorted(records, key=lambda r: r["started_at"])
+            gap = second["started_at"] - first["finished_at"]
+            assert 0.0 <= gap < 0.5
+        finally:
+            svc.stop()
+
+    def test_wake_posted_during_a_tick_is_not_lost(self, tmp_path):
+        # The submit lands at the end of the loop's first tick, after its
+        # dispatch step; only the submit's own wake can start the job.
+        svc = self._service(tmp_path)
+        submitted = []
+        publish = svc._publish_gauges
+
+        def publish_then_submit():
+            publish()
+            if not submitted:
+                submitted.append(svc.submit({"graph": "planted:3x12"}))
+
+        svc._publish_gauges = publish_then_submit
+        svc.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not submitted and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert submitted
+            record = wait_terminal(svc, submitted[0], timeout=10.0)
+            assert record["status"] == JobStatus.DONE
+        finally:
+            svc.stop()
+
+    def test_wake_tokens_never_surface_as_completions(self, tmp_path):
+        from repro.serve.pool import WorkerPool, _WorkerSlot
+
+        pool = WorkerPool(str(tmp_path))
+        slot = _WorkerSlot(0, _StubProcess(), None)
+        slot.job_id = "job-000000"
+        pool._slots[0] = slot
+        try:
+            start = time.monotonic()
+            pool.wake()
+            pool.wait(30.0)
+            assert time.monotonic() - start < 5.0  # the wake ended it
+            pool.wake()
+            pool._done_q.put(("done", 0, "job-000000", "ok", {}))
+            pool.wake()
+            drained = []
+            deadline = time.monotonic() + 5.0
+            while not drained and time.monotonic() < deadline:
+                pool.wait(0.1)
+                drained += pool.drain_done()
+            for _ in range(3):
+                pool.wait(0.1)
+                drained += pool.drain_done()
+            assert drained == [(0, "job-000000", "ok", {})]
+            assert slot.job_id is None
+        finally:
+            pool._slots = {}
+            pool.close()
