@@ -49,14 +49,12 @@ from __future__ import annotations
 from repro._version import __version__
 from repro.graph.csr import CSRGraph
 from repro.graph.build import GraphBuilder
-from repro.core.batch import BatchGraphResult, louvain_batch
 from repro.core.config import HeuristicVariant, LouvainConfig
 from repro.core.driver import LouvainResult, louvain
 from repro.core.louvain_serial import louvain_serial
 from repro.core.modularity import modularity
 
 __all__ = [
-    "BatchGraphResult",
     "CSRGraph",
     "GraphBuilder",
     "HeuristicVariant",
@@ -64,7 +62,6 @@ __all__ = [
     "LouvainResult",
     "__version__",
     "louvain",
-    "louvain_batch",
     "louvain_serial",
     "modularity",
 ]

@@ -419,32 +419,23 @@ def _cmd_obs_regress(args) -> int:
         DEFAULT_TOL_RATIO,
         DEFAULT_TOL_SECONDS,
         load_records,
-        rerun_batch_records,
         rerun_kernel_records,
         run_regression,
     )
 
-    committed: list = []
-    for path in (args.kernels, args.batch):
-        if path is None:
-            continue
-        _load_json_file(path)  # exit 2 with a clear message on bad input
-        try:
-            committed.extend(load_records(path))
-        except ValueError as exc:
-            raise _input_error(str(exc))
+    _load_json_file(args.kernels)  # exit 2 with a clear message on bad input
+    try:
+        committed = load_records(args.kernels)
+    except ValueError as exc:
+        raise _input_error(str(exc))
     if not committed:
-        raise _input_error(
-            "no committed records (pass --kernels and/or --batch)"
-        )
+        raise _input_error(f"{args.kernels}: no committed records")
 
     fresh: list = []
-    for path in (args.fresh_kernels, args.fresh_batch):
-        if path is None:
-            continue
-        _load_json_file(path)
+    if args.fresh_kernels is not None:
+        _load_json_file(args.fresh_kernels)
         try:
-            fresh.extend(load_records(path))
+            fresh.extend(load_records(args.fresh_kernels))
         except ValueError as exc:
             raise _input_error(str(exc))
     if args.rerun:
@@ -456,15 +447,12 @@ def _cmd_obs_regress(args) -> int:
                 f"unknown --graphs {sorted(unknown)} "
                 f"(choose from {sorted(PHASE_GRAPHS)})"
             )
-        if args.kernels is not None:
-            fresh.extend(rerun_kernel_records(
-                graph_names=args.graphs or None, repeats=args.repeats,
-            ))
-        if args.batch is not None:
-            fresh.extend(rerun_batch_records(repeats=args.repeats))
+        fresh.extend(rerun_kernel_records(
+            graph_names=args.graphs or None, repeats=args.repeats,
+        ))
     if not fresh:
         raise _input_error(
-            "no fresh records (pass --fresh-kernels/--fresh-batch or --rerun)"
+            "no fresh records (pass --fresh-kernels or --rerun)"
         )
 
     ok, report = run_regression(
@@ -878,23 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs_regress.add_argument("--kernels", metavar="FILE",
                              default="BENCH_kernels.json",
                              help="committed kernel records (default "
-                                  "BENCH_kernels.json; pass --no-kernels "
-                                  "to skip)")
-    obs_regress.add_argument("--no-kernels", dest="kernels",
-                             action="store_const", const=None,
-                             help="skip the kernel suite")
-    obs_regress.add_argument("--batch", metavar="FILE",
-                             default="BENCH_batch.json",
-                             help="committed batch records (default "
-                                  "BENCH_batch.json; pass --no-batch to "
-                                  "skip)")
-    obs_regress.add_argument("--no-batch", dest="batch",
-                             action="store_const", const=None,
-                             help="skip the batch suite")
+                                  "BENCH_kernels.json)")
     obs_regress.add_argument("--fresh-kernels", metavar="FILE", default=None,
                              help="fresh kernel records to judge")
-    obs_regress.add_argument("--fresh-batch", metavar="FILE", default=None,
-                             help="fresh batch records to judge")
     obs_regress.add_argument("--rerun", action="store_true",
                              help="re-time the optimized configurations "
                                   "in-process to produce fresh records")

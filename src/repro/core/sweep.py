@@ -210,8 +210,6 @@ def compute_targets_vectorized(
     workspace: "SweepWorkspace | None" = None,
     aggregation: "str | None" = None,
     plan_key: object = None,
-    m_v: "np.ndarray | None" = None,
-    two_m_sq_v: "np.ndarray | None" = None,
     rows=None,
 ) -> np.ndarray:
     """Vectorized implementation of lines 9–14 of Algorithm 1.
@@ -229,15 +227,6 @@ def compute_targets_vectorized(
     aggregation:
         ``"auto"`` (default), ``"sort"``, ``"bincount"`` or ``"matmul"``;
         ``None`` inherits the workspace's mode (or ``"auto"``).
-    m_v, two_m_sq_v:
-        Optional per-active-vertex ``m`` and ``(2m)²`` (both aligned with
-        ``vertices``, both required together) — the multi-graph hook: a
-        block-diagonal batch normalizes every vertex by its own graph's
-        edge weight (:mod:`repro.core.batch`).  Each entry must be the
-        python-float ``m`` / ``(2.0*m)**2`` of the vertex's graph, which
-        makes the elementwise gain bitwise identical to the scalar path
-        run per graph.  All entries must be positive (zero-weight graphs
-        are the caller's early-out).
     rows:
         Without a workspace, the graph's
         :func:`~repro.core.workspace.loop_free_rows` to gather from
@@ -246,12 +235,8 @@ def compute_targets_vectorized(
     vertices = np.asarray(vertices, dtype=np.int64)
     m = graph.total_weight
     cur = state.comm[vertices]
-    if vertices.size == 0 or (m_v is None and m <= 0):
+    if vertices.size == 0 or m <= 0:
         return cur.copy()
-    if (m_v is None) != (two_m_sq_v is None):
-        raise ValidationError("m_v and two_m_sq_v must be given together")
-    if m_v is not None and m_v.shape != vertices.shape:
-        raise ValidationError("m_v must be aligned with vertices")
     n = graph.num_vertices
 
     if workspace is not None:
@@ -285,20 +270,14 @@ def compute_targets_vectorized(
     # skipped at resolution 1.  ``comm_degree`` is float64, so the penalty
     # buffer already has the dtype of the full sum.
     gain = e - np.take(e_cur, pair_owner)
-    if m_v is None:
-        gain /= m
-    else:
-        gain = gain / np.take(m_v, pair_owner)
+    gain /= m
     a_cur_excl = np.take(state.comm_degree, cur) - k_v
     penalty = np.take(a_cur_excl, pair_owner)
     penalty -= np.take(state.comm_degree, pair_comm)
     penalty *= np.take(2.0 * k_v, pair_owner)
     if resolution != 1.0:
         penalty *= resolution
-    if m_v is None:
-        penalty /= (2.0 * m) ** 2
-    else:
-        penalty /= np.take(two_m_sq_v, pair_owner)
+    penalty /= (2.0 * m) ** 2
     penalty += gain
     gain = penalty
 

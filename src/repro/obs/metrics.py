@@ -164,7 +164,7 @@ class MetricsRegistry:
 
         Integral increments accumulate as Python ints: counting in floats
         silently loses increments once a counter passes 2**53, which a
-        long multi-graph batch can genuinely reach for ``sweep.moves``.
+        long-running process can genuinely reach for ``sweep.moves``.
         Non-integral increments (rare, but allowed) degrade to float.
         """
         if not isinstance(value, int):

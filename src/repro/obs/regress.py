@@ -1,9 +1,8 @@
 """Perf-regression gate: fresh bench records vs committed trajectories.
 
 The repository commits machine-readable benchmark records
-(``BENCH_kernels.json`` from ``benchmarks/bench_kernels.py``,
-``BENCH_batch.json`` from ``benchmarks/bench_batch.py``) so every PR's
-performance claims stay auditable.  ``repro obs regress`` closes the
+(``BENCH_kernels.json`` from ``benchmarks/bench_kernels.py``) so every
+PR's performance claims stay auditable.  ``repro obs regress`` closes the
 loop: it compares a *fresh* set of records against the committed ones
 and exits non-zero when the hot path got slower or worse — the CI smoke
 gate that catches a perf regression before a human reads a number.
@@ -17,14 +16,14 @@ Per matched record pair two checks run:
   ``max(committed * tol_ratio, tol_seconds)``.  The absolute floor
   matters on shared CI runners, whose baseline differs from the bench
   machine; CI passes a generous ``--tol-seconds``.
-* ``Q`` / ``Q_mean`` — fresh modularity must not drop more than
-  ``q_tol`` below committed (quality regressions are perf regressions
-  too: a faster kernel that converges worse is not a win).
+* ``Q`` — fresh modularity must not drop more than ``q_tol`` below
+  committed (quality regressions are perf regressions too: a faster
+  kernel that converges worse is not a win).
 
-Fresh records come from a file (``--fresh-kernels``/``--fresh-batch``,
-produced by the benchmark scripts) or from ``--rerun``, which re-times
-the *optimized* configurations in-process using the same recipes the
-benchmark scripts use (the graph specs below are asserted identical to
+Fresh records come from a file (``--fresh-kernels``, produced by the
+benchmark script) or from ``--rerun``, which re-times the *optimized*
+configurations in-process using the same recipes the benchmark script
+uses (the graph specs below are asserted identical to
 ``benchmarks/bench_kernels.py`` by the test-suite).  ``--rerun`` cannot
 regenerate ``kernel="seed"`` records — those require a git-worktree
 checkout of the root commit — so committed seed records are skipped
@@ -49,7 +48,6 @@ __all__ = [
     "load_records",
     "record_key",
     "render_comparisons",
-    "rerun_batch_records",
     "rerun_kernel_records",
     "run_regression",
 ]
@@ -71,10 +69,6 @@ PHASE_GRAPHS = {
     "rmat-131k": ("rmat", (17, 8), {"seed": 3}),
 }
 PHASE_THRESHOLD = 1e-6
-
-#: Batch-suite fleet recipe — must match ``benchmarks/bench_batch.py``.
-BATCH_GRAPH_SPEC = (4, 12, 0.5, 0.03)
-BATCH_NUM_GRAPHS = 48
 
 
 @dataclass(frozen=True)
@@ -111,15 +105,6 @@ def record_key(record: dict) -> "str | None":
     """Identity a record is matched on across committed/fresh sets."""
     if "graph" in record and "kernel" in record:
         return f"kernels:{record['graph']}/{record['kernel']}"
-    if "mode" in record:
-        return f"batch:{record['mode']}"
-    return None
-
-
-def _q_field(record: dict) -> "str | None":
-    for name in ("Q", "Q_mean"):
-        if name in record:
-            return name
     return None
 
 
@@ -170,13 +155,12 @@ def compare_records(committed: list[dict], fresh: list[dict], *,
             key=key, metric="seconds", committed=base, fresh=new,
             limit=limit, ok=bool(new <= limit),
         ))
-        q_name = _q_field(record)
-        if q_name is not None and q_name in other:
-            base_q = float(record[q_name])
-            new_q = float(other[q_name])
+        if "Q" in record and "Q" in other:
+            base_q = float(record["Q"])
+            new_q = float(other["Q"])
             floor = base_q - q_tol
             comparisons.append(Comparison(
-                key=key, metric=q_name, committed=base_q, fresh=new_q,
+                key=key, metric="Q", committed=base_q, fresh=new_q,
                 limit=floor, ok=bool(new_q >= floor),
                 note="floor, not ceiling",
             ))
@@ -249,53 +233,6 @@ def rerun_kernel_records(graph_names=None, repeats: int = 1,
         })
         log(f"rerun {name}: optimized={best:.3f}s Q={q:.4f}")
     return records
-
-
-def rerun_batch_records(num_graphs: int = BATCH_NUM_GRAPHS,
-                        repeats: int = 1, seed: int = 0,
-                        log=print) -> list[dict]:
-    """Re-time the loop-vs-batched suite in-process (``BENCH_batch.json``
-    shape, same fleet recipe as ``benchmarks/bench_batch.py``)."""
-    import time
-
-    import numpy as np
-
-    from repro import LouvainConfig, louvain, louvain_batch
-    from repro.graph.generators import planted_partition
-
-    blocks, block_size, p_in, p_out = BATCH_GRAPH_SPEC
-    graphs = [planted_partition(blocks, block_size, p_in, p_out,
-                                seed=seed + i) for i in range(num_graphs)]
-    cfg = LouvainConfig(sanitize=False, trace=False)
-
-    def best_of(fn):
-        best = None
-        out = None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            out = fn()
-            dt = time.perf_counter() - t0
-            if best is None or dt < best:
-                best = dt
-        return best, out
-
-    loop_seconds, _ = best_of(lambda: [louvain(g, cfg) for g in graphs])
-    batch_seconds, batch_results = best_of(lambda: louvain_batch(graphs, cfg))
-    meta = {
-        "num_graphs": num_graphs,
-        "n_total": sum(g.num_vertices for g in graphs),
-        "M_total": sum(g.num_edges for g in graphs),
-        **_provenance(),
-    }
-    q_mean = float(np.mean([r.modularity for r in batch_results]))
-    log(f"rerun batch: loop={loop_seconds * 1e3:.1f}ms "
-        f"batched={batch_seconds * 1e3:.1f}ms")
-    return [
-        {"mode": "per-graph-loop", **meta, "seconds": loop_seconds,
-         "Q_mean": q_mean},
-        {"mode": "batched", **meta, "seconds": batch_seconds,
-         "Q_mean": q_mean, "speedup": loop_seconds / batch_seconds},
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -208,3 +208,17 @@ class TestQuality:
         parallel_q = louvain(planted, variant="baseline+VF+Color",
                              coloring_min_vertices=4).modularity
         assert parallel_q >= serial_q - 0.03
+
+    def test_communities_respect_components(self):
+        """Detected communities never straddle components."""
+        from scipy.sparse.csgraph import connected_components
+
+        g = CSRGraph.from_edges(
+            8,
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)],
+        )
+        _, comp = connected_components(g.to_scipy(), directed=False)
+        comm = louvain(g).communities
+        for c in np.unique(comm):
+            members = np.flatnonzero(comm == c)
+            assert len(set(comp[members].tolist())) == 1

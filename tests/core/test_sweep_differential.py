@@ -92,11 +92,11 @@ def oracle_pairs(graph, vertices, comm, mode):
 
 
 def oracle_targets(graph, state, vertices, *, mode, use_min_label=True,
-                   resolution=1.0, m_v=None, two_m_sq_v=None):
+                   resolution=1.0):
     n = graph.num_vertices
     m = graph.total_weight
     cur = state.comm[vertices]
-    if vertices.size == 0 or (m_v is None and m <= 0):
+    if vertices.size == 0 or m <= 0:
         return cur.copy()
     if oracle_plan(graph, vertices)[0].size == 0:
         return cur.copy()
@@ -113,12 +113,8 @@ def oracle_targets(graph, state, vertices, *, mode, use_min_label=True,
         2.0 * k_v[pair_owner]
         * (a_cur_excl[pair_owner] - comm_degree[pair_comm])
     )
-    if m_v is None:
-        two_m_sq = (2.0 * m) ** 2
-        gain = (e - e_cur[pair_owner]) / m + penalty / two_m_sq
-    else:
-        gain = ((e - e_cur[pair_owner]) / m_v[pair_owner]
-                + penalty / two_m_sq_v[pair_owner])
+    two_m_sq = (2.0 * m) ** 2
+    gain = (e - e_cur[pair_owner]) / m + penalty / two_m_sq
     gain[own_pairs] = -math.inf
     best_gain = np.full(num_active, -math.inf, dtype=gain.dtype)
     chosen = np.full(num_active, n if use_min_label else -1, dtype=np.int64)
@@ -252,26 +248,6 @@ class TestTargetsMatchOracle:
             resolution=resolution, workspace=workspace, aggregation=mode)
         np.testing.assert_array_equal(got, expected)
 
-    @SETTINGS
-    @given(case=sweep_cases(), mode=st.sampled_from(MODES),
-           use_min_label=st.booleans())
-    def test_batch_normalizer_hook(self, case, mode, use_min_label):
-        """The per-vertex ``m_v``/``(2m)²`` hook of the batched pipeline,
-        with ``m_v`` in the weight dtype as ``louvain_batch`` passes it."""
-        graph, state, frontier = case
-        m = graph.total_weight
-        if m <= 0:
-            return
-        m_v = np.full(frontier.size, m, dtype=graph.weights.dtype)
-        two_m_sq_v = np.full(frontier.size, (2.0 * m) ** 2)
-        expected = oracle_targets(graph, state, frontier, mode=mode,
-                                  use_min_label=use_min_label,
-                                  m_v=m_v, two_m_sq_v=two_m_sq_v)
-        got = compute_targets_vectorized(
-            graph, state, frontier, use_min_label=use_min_label,
-            aggregation=mode, m_v=m_v, two_m_sq_v=two_m_sq_v)
-        np.testing.assert_array_equal(got, expected)
-
 
 def indicator_product(block, comm, n):
     """SciPy's generic two-pass ``A @ S``: the single-pass product's oracle."""
@@ -338,7 +314,7 @@ class TestSinglePassProduct:
 
 
 def oracle_full_tail(graph, state, vertices, *, mode, use_min_label=True,
-                     resolution=1.0, m_v=None, two_m_sq_v=None):
+                     resolution=1.0):
     """The selection as it stood before positive-pair selection: the gain
     of every pair in the kernel's operation order, own pairs masked to
     −inf, maximum and tie reductions over every non-empty segment.
@@ -360,19 +336,13 @@ def oracle_full_tail(graph, state, vertices, *, mode, use_min_label=True,
     own_pairs = pair_comm == cur[pair_owner]
     e_cur[pair_owner[own_pairs]] = e[own_pairs]
     gain = e - e_cur[pair_owner]
-    if m_v is None:
-        gain /= m
-    else:
-        gain = gain / m_v[pair_owner]
+    gain /= m
     penalty = (comm_degree[cur] - k_v)[pair_owner]
     penalty -= comm_degree[pair_comm]
     penalty *= (2.0 * k_v)[pair_owner]
     if resolution != 1.0:
         penalty *= resolution
-    if m_v is None:
-        penalty /= (2.0 * m) ** 2
-    else:
-        penalty /= two_m_sq_v[pair_owner]
+    penalty /= (2.0 * m) ** 2
     gain = penalty + gain
     gain[own_pairs] = -math.inf
     live = np.flatnonzero(counts)
@@ -406,25 +376,17 @@ class TestPositivePairSelection:
     @SETTINGS
     @given(case=sweep_cases(), mode=st.sampled_from(MODES),
            use_min_label=st.booleans(),
-           resolution=st.sampled_from(SELECTION_RESOLUTIONS),
-           batch_hook=st.booleans())
-    def test_targets(self, case, mode, use_min_label, resolution,
-                     batch_hook):
+           resolution=st.sampled_from(SELECTION_RESOLUTIONS))
+    def test_targets(self, case, mode, use_min_label, resolution):
         graph, state, frontier = case
-        m = graph.total_weight
-        if m <= 0:
+        if graph.total_weight <= 0:
             return
-        hook = {}
-        if batch_hook:
-            hook = dict(
-                m_v=np.full(frontier.size, m, dtype=graph.weights.dtype),
-                two_m_sq_v=np.full(frontier.size, (2.0 * m) ** 2))
         expected, _ = oracle_full_tail(
             graph, state, frontier, mode=mode, use_min_label=use_min_label,
-            resolution=resolution, **hook)
+            resolution=resolution)
         got = compute_targets_vectorized(
             graph, state, frontier, use_min_label=use_min_label,
-            resolution=resolution, aggregation=mode, **hook)
+            resolution=resolution, aggregation=mode)
         np.testing.assert_array_equal(got, expected)
 
     @staticmethod

@@ -10,15 +10,12 @@ from repro.obs.regress import (
     DEFAULT_Q_TOL,
     DEFAULT_TOL_RATIO,
     DEFAULT_TOL_SECONDS,
-    BATCH_GRAPH_SPEC,
-    BATCH_NUM_GRAPHS,
     PHASE_GRAPHS,
     PHASE_THRESHOLD,
     compare_records,
     load_records,
     record_key,
     render_comparisons,
-    rerun_batch_records,
     run_regression,
 )
 
@@ -32,25 +29,18 @@ def kernel_record(graph="planted-50k", kernel="optimized", seconds=1.0,
             **extra}
 
 
-def batch_record(mode="batched", seconds=0.1, q_mean=0.5, **extra):
-    return {"mode": mode, "seconds": seconds, "Q_mean": q_mean,
-            "commit": "aaaa", "date": "2026-01-01", "backend": "numpy",
-            **extra}
-
-
 class TestRecordKey:
-    def test_kernel_and_batch_keys(self):
+    def test_kernel_keys(self):
         assert record_key(kernel_record()) == "kernels:planted-50k/optimized"
-        assert record_key(batch_record()) == "batch:batched"
+        assert record_key({"mode": "batched"}) is None
         assert record_key({"whatever": 1}) is None
 
 
 class TestLoadRecords:
     def test_loads_committed_bench_files(self):
         kernels = load_records(REPO / "BENCH_kernels.json")
-        batch = load_records(REPO / "BENCH_batch.json")
-        assert kernels and batch
-        assert all(record_key(r) for r in kernels + batch)
+        assert kernels
+        assert all(record_key(r) for r in kernels)
 
     def test_rejects_non_list(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -64,7 +54,7 @@ class TestLoadRecords:
 
 class TestCompareRecords:
     def test_identical_records_pass(self):
-        committed = [kernel_record(), batch_record()]
+        committed = [kernel_record(), kernel_record(kernel="seed")]
         comparisons, notes = compare_records(committed,
                                              json.loads(json.dumps(committed)))
         assert comparisons and all(c.ok for c in comparisons)
@@ -86,8 +76,8 @@ class TestCompareRecords:
 
     def test_absolute_floor_protects_tiny_records(self):
         # 10ms -> 3x slower but inside the 0.25s shared-runner floor.
-        committed = [batch_record(seconds=0.010)]
-        fresh = [batch_record(seconds=0.030)]
+        committed = [kernel_record(seconds=0.010)]
+        fresh = [kernel_record(seconds=0.030)]
         comparisons, _ = compare_records(committed, fresh)
         assert all(c.ok for c in comparisons)
 
@@ -115,7 +105,7 @@ class TestCompareRecords:
         committed = [kernel_record(kernel="seed"),
                      kernel_record(kernel="optimized")]
         fresh = [kernel_record(kernel="optimized"),
-                 batch_record()]
+                 kernel_record(graph="rmat-131k")]
         comparisons, notes = compare_records(committed, fresh)
         assert all(c.ok for c in comparisons)
         assert any("no fresh record" in n for n in notes)
@@ -134,7 +124,7 @@ class TestCompareRecords:
 
 class TestGate:
     def test_run_regression_pass_and_fail(self):
-        committed = [kernel_record(), batch_record()]
+        committed = [kernel_record(), kernel_record(kernel="seed")]
         ok, report = run_regression(committed,
                                     json.loads(json.dumps(committed)))
         assert ok
@@ -147,8 +137,7 @@ class TestGate:
         assert "FAIL" in report
 
     def test_committed_bench_files_pass_against_themselves(self):
-        committed = (load_records(REPO / "BENCH_kernels.json")
-                     + load_records(REPO / "BENCH_batch.json"))
+        committed = load_records(REPO / "BENCH_kernels.json")
         ok, report = run_regression(committed,
                                     json.loads(json.dumps(committed)))
         assert ok, report
@@ -159,57 +148,17 @@ class TestRecipeCrossCheck:
 
     @staticmethod
     def _load_bench(name):
-        # benchmarks/ is a script directory, not a package; bench_batch
-        # imports bench_kernels as a sibling, so put the dir on the path.
-        import sys
-
-        bench_dir = str(REPO / "benchmarks")
-        sys.path.insert(0, bench_dir)
-        try:
-            path = REPO / "benchmarks" / f"{name}.py"
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-        finally:
-            sys.path.remove(bench_dir)
+        # benchmarks/ is a script directory, not a package.
+        path = REPO / "benchmarks" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
 
     def test_phase_graphs_match_bench_kernels(self):
         bench = self._load_bench("bench_kernels")
         assert PHASE_GRAPHS == bench.PHASE_GRAPHS
         assert PHASE_THRESHOLD == bench.PHASE_THRESHOLD
-
-    def test_batch_recipe_matches_bench_batch(self):
-        import numpy as np
-
-        from repro.graph.generators import planted_partition
-
-        bench = self._load_bench("bench_batch")
-        assert BATCH_NUM_GRAPHS == bench.DEFAULT_NUM_GRAPHS
-        # bench_batch hard-codes its fleet recipe inside build_graphs;
-        # byte-compare the graphs it builds against BATCH_GRAPH_SPEC.
-        theirs = bench.build_graphs(2, seed=5)
-        blocks, block_size, p_in, p_out = BATCH_GRAPH_SPEC
-        ours = [planted_partition(blocks, block_size, p_in, p_out,
-                                  seed=5 + i) for i in range(2)]
-        for a, b in zip(theirs, ours):
-            assert a.num_vertices == b.num_vertices
-            assert a.num_edges == b.num_edges
-            np.testing.assert_array_equal(a.indptr, b.indptr)
-            np.testing.assert_array_equal(a.indices, b.indices)
-
-
-class TestRerun:
-    def test_rerun_batch_records_have_bench_shape(self):
-        records = rerun_batch_records(num_graphs=3, repeats=1,
-                                      log=lambda *_: None)
-        assert [r["mode"] for r in records] == ["per-graph-loop", "batched"]
-        for record in records:
-            assert record_key(record) is not None
-            assert {"seconds", "Q_mean", "commit", "date",
-                    "backend"} <= set(record)
-        assert records[1]["speedup"] == pytest.approx(
-            records[0]["seconds"] / records[1]["seconds"])
 
 
 class TestRender:

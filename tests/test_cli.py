@@ -333,7 +333,7 @@ class TestObsRegress:
     def test_pass_on_identical_records(self, tmp_path, capsys):
         committed = self.write_records(tmp_path / "committed.json")
         fresh = self.write_records(tmp_path / "fresh.json")
-        assert main(["obs", "regress", "--kernels", committed, "--no-batch",
+        assert main(["obs", "regress", "--kernels", committed,
                      "--fresh-kernels", fresh]) == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -341,7 +341,7 @@ class TestObsRegress:
         committed = self.write_records(tmp_path / "committed.json",
                                        seconds=1.0)
         slowed = self.write_records(tmp_path / "fresh.json", seconds=10.0)
-        assert main(["obs", "regress", "--kernels", committed, "--no-batch",
+        assert main(["obs", "regress", "--kernels", committed,
                      "--fresh-kernels", slowed]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
@@ -350,20 +350,20 @@ class TestObsRegress:
     def test_missing_committed_file_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["obs", "regress", "--kernels",
-                  str(tmp_path / "absent.json"), "--no-batch", "--rerun"])
+                  str(tmp_path / "absent.json"), "--rerun"])
         assert exc.value.code == 2
 
     def test_no_fresh_records_exits_2(self, tmp_path, capsys):
         committed = self.write_records(tmp_path / "committed.json")
         with pytest.raises(SystemExit) as exc:
-            main(["obs", "regress", "--kernels", committed, "--no-batch"])
+            main(["obs", "regress", "--kernels", committed])
         assert exc.value.code == 2
         assert "no fresh records" in capsys.readouterr().err
 
     def test_unknown_rerun_graph_exits_2(self, tmp_path, capsys):
         committed = self.write_records(tmp_path / "committed.json")
         with pytest.raises(SystemExit) as exc:
-            main(["obs", "regress", "--kernels", committed, "--no-batch",
+            main(["obs", "regress", "--kernels", committed,
                   "--rerun", "--graphs", "not-a-graph"])
         assert exc.value.code == 2
         assert "unknown --graphs" in capsys.readouterr().err
@@ -372,6 +372,5 @@ class TestObsRegress:
         bad = tmp_path / "bad.json"
         bad.write_text('{"not": "a list"}')
         with pytest.raises(SystemExit) as exc:
-            main(["obs", "regress", "--kernels", str(bad), "--no-batch",
-                  "--rerun"])
+            main(["obs", "regress", "--kernels", str(bad), "--rerun"])
         assert exc.value.code == 2

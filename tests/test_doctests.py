@@ -13,10 +13,8 @@ import pytest
 
 MODULE_NAMES = [
     "repro.bench.ascii_plot",
-    "repro.core.batch",
     "repro.core.modularity",
     "repro.dynamic.dynamic_graph",
-    "repro.graph.batch",
     "repro.graph.build",
     "repro.lint.sanitizer",
     "repro.metrics.pairs",
