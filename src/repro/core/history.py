@@ -13,7 +13,7 @@ thread count — so a single pipeline run can be "replayed" at p = 1..32.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -142,10 +142,17 @@ class ConvergenceHistory:
 
     # -- JSON round-trip (consumed by the repro.obs trace exporters) --------
     def to_json_dict(self) -> dict:
-        """Plain-dict form embeddable in a trace file (lossless)."""
+        """Plain-dict form embeddable in a trace file (lossless).
+
+        Each record becomes a dict of its fields in declaration order —
+        what ``dataclasses.asdict`` gives, without its deep copy of every
+        element of every per-color-set tuple: the records are frozen and
+        hold only numbers, strings and tuples of ints.
+        """
         return {
-            "iterations": [asdict(r) for r in self.iterations],
-            "phases": [asdict(r) for r in self.phases],
+            "iterations": [_fields_dict(r, _ITERATION_FIELDS)
+                           for r in self.iterations],
+            "phases": [_fields_dict(r, _PHASE_FIELDS) for r in self.phases],
         }
 
     def to_json(self, **dumps_kwargs) -> str:
@@ -175,3 +182,11 @@ class ConvergenceHistory:
     def from_json(cls, text: str) -> "ConvergenceHistory":
         """Inverse of :meth:`to_json`."""
         return cls.from_json_dict(json.loads(text))
+
+
+_ITERATION_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_PHASE_FIELDS = tuple(f.name for f in fields(PhaseRecord))
+
+
+def _fields_dict(record, names: tuple) -> dict:
+    return {name: getattr(record, name) for name in names}

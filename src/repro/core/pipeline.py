@@ -5,15 +5,17 @@ coloring schedule, phases of Algorithm 1, graph rebuilds — and the
 shared-memory driver, the BSP simulation and the serial reference differ
 only in how a phase sweeps.  :func:`run_pipeline` owns everything else:
 
-* the run scope (:func:`run_scope`): tracer, fault injector, budget
-  controller and its signal handlers, metrics ring and profiler, entered
-  in one :class:`~contextlib.ExitStack` so every ambient scope is
-  restored even when an injected fault raises;
+* the run scope, a private helper of :func:`run_pipeline`: tracer,
+  fault injector, budget controller and its signal handlers, metrics
+  ring and profiler, entered in one :class:`~contextlib.ExitStack` so
+  every ambient scope is restored even when an injected fault raises;
 * resume loading — fingerprint, pipeline name and graph dimensions —
   and the checkpoints: one after every phase that another follows, and
   a cancellation checkpoint when the budget stops the run;
 * the VF step, the coloring schedule and colorer dispatch, and the
-  threshold each phase runs at;
+  threshold each phase runs at; a caller that keeps a graph resident
+  can hand a fresh run its phase-0 colors through
+  :func:`use_phase_colors`;
 * the budget stop check at each phase boundary and the degradation
   ladder;
 * the fold of a phase into the history, dendrogram and mapping, the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 from contextlib import ExitStack, contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +66,7 @@ from repro.utils.arrays import renumber_labels
 from repro.utils.errors import CheckpointError
 from repro.utils.timing import StepTimer, step_timer_view
 
-__all__ = ["PhaseExecutor", "PipelineRun", "run_pipeline", "run_scope"]
+__all__ = ["PhaseExecutor", "PipelineRun", "run_pipeline", "use_phase_colors"]
 
 
 class PhaseExecutor:
@@ -128,10 +131,11 @@ class PipelineRun:
 
 
 @contextmanager
-def run_scope(tracer: Tracer, span: str, *, fault_plan: "str | None" = None,
-              budget: "RunBudget | None" = None,
-              metrics_ring: "str | None" = None, profile: bool = False,
-              **span_args):
+def _run_scope(tracer: Tracer, span: str, *,
+               fault_plan: "str | None" = None,
+               budget: "RunBudget | None" = None,
+               metrics_ring: "str | None" = None, profile: bool = False,
+               **span_args):
     """Make ``tracer``, the fault plan and the budget ambient for a run.
 
     Yields ``(controller, profile data)``.  The tracer stays ambient so
@@ -153,6 +157,32 @@ def run_scope(tracer: Tracer, span: str, *, fault_plan: "str | None" = None,
         yield controller, profile_data
 
 
+#: ``(graph, memo)`` of the enclosing :func:`use_phase_colors`, if any.
+_PHASE_COLORS: "ContextVar[tuple | None]" = ContextVar("phase_colors",
+                                                       default=None)
+
+
+@contextmanager
+def use_phase_colors(graph: CSRGraph, memo):
+    """Let fresh runs on ``graph`` in this scope reuse phase-0 colors.
+
+    ``memo`` belongs to ``graph`` and maps a key to a read-only color
+    array through ``get(key)`` and ``put(key, colors)``.  A fresh run's
+    phase-0 colors are a pure function of the graph and the settings in
+    the key — the VF mode, the colorer and its options, and the seed —
+    so a :func:`run_pipeline` on ``graph`` itself reads them from the
+    memo, or colors once and stores them there; the result is bitwise
+    the same either way.  A resumed run, a run on any other graph and
+    every later phase color as they always do.  A ``None`` memo turns
+    the reuse off, which is also the default outside any scope.
+    """
+    token = _PHASE_COLORS.set(None if memo is None else (graph, memo))
+    try:
+        yield
+    finally:
+        _PHASE_COLORS.reset(token)
+
+
 def _color(graph: CSRGraph, cfg: LouvainConfig) -> np.ndarray:
     """The phase graph's coloring under ``cfg``'s colorer (§5.2)."""
     if cfg.distance_k > 1:
@@ -169,6 +199,20 @@ def _color(graph: CSRGraph, cfg: LouvainConfig) -> np.ndarray:
         headroom = int(colors.max()) + 1 if colors.size else 1
         colors = balance_colors(graph, colors,
                                 max_colors=headroom + headroom // 2)
+    return colors
+
+
+def _phase0_colors(graph: CSRGraph, cfg: LouvainConfig, memo) -> np.ndarray:
+    """:func:`_color` of a fresh run's phase-0 graph, through ``memo``."""
+    if memo is None:
+        return _color(graph, cfg)
+    key = (cfg.use_vf, cfg.vf_chain_compression, cfg.colorer,
+           cfg.distance_k, cfg.balanced_coloring, cfg.seed)
+    colors = memo.get(key)
+    if colors is None:
+        colors = _color(graph, cfg)
+        colors.setflags(write=False)
+        memo.put(key, colors)
     return colors
 
 
@@ -231,6 +275,8 @@ def run_pipeline(
                            dendrogram=dendrogram)
 
     tracer = Tracer(enabled=cfg.trace)
+    scope = _PHASE_COLORS.get()
+    memo = scope[1] if scope is not None and scope[0] is graph else None
     vf_result: "VFResult | None" = None
     # Degradation ladder adjusts these *effective* knobs, never cfg
     # itself: the coloring schedule's stop condition and the checkpoint
@@ -279,10 +325,10 @@ def run_pipeline(
                 cancel_ckpt = save(path, phase_index)
         tracer.count("run.cancelled")
 
-    with run_scope(tracer, executor.span, fault_plan=cfg.fault_plan,
-                   budget=cfg.budget, metrics_ring=cfg.metrics_ring,
-                   profile=cfg.profile, **executor.span_args) as (
-                       controller, profile_data), executor:
+    with _run_scope(tracer, executor.span, fault_plan=cfg.fault_plan,
+                    budget=cfg.budget, metrics_ring=cfg.metrics_ring,
+                    profile=cfg.profile, **executor.span_args) as (
+                        controller, profile_data), executor:
         # -- VF preprocessing (once, §6.1; a resumed run already carries
         # its VF level in the mapping and dendrogram) ---------------------
         if cfg.use_vf and resumed is None:
@@ -337,7 +383,9 @@ def run_pipeline(
             colors = None
             if color_this_phase:
                 with tracer.step("coloring", phase=phase_index):
-                    colors = _color(current, cfg)
+                    colors = (_phase0_colors(current, cfg, memo)
+                              if phase_index == 0 and resumed is None
+                              else _color(current, cfg))
                     color_sets = color_set_partition(colors)
                 if tracer.enabled:
                     for size in color_class_sizes(colors).tolist():

@@ -42,7 +42,7 @@ Kernels
     a scatter-max gives each vertex its best gain, a scatter-min (a
     scatter-max for the ablation) its label tie-break.
 ``apply_moves_tracked``
-    The commit, reading the movers' rows from the graph's row view.
+    The commit, reading the movers' rows from the graph's own arrays.
 Every compress is an index compress, ``x.take(flatnonzero(mask))``: the
 same elements in the same order as ``x[mask]``, without the boolean
 compress's mispredicted branch per element.  All paths produce identical
@@ -63,6 +63,7 @@ from repro.core.workspace import (
     aggregate_pairs,
     build_plan,
     loop_free_rows,
+    row_block,
 )
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize, snapshot_kernel
@@ -248,7 +249,8 @@ def compute_targets_vectorized(
     if plan.block.nnz == 0:
         return cur.copy()
 
-    pair_indptr, pair_comm, e, _ = aggregate_pairs(plan, state.comm, n, mode)
+    pair_indptr, pair_comm, e, _ = aggregate_pairs(plan, state.comm, n, mode,
+                                                   workspace)
 
     num_active = vertices.size
     k_v = plan.degrees
@@ -474,9 +476,10 @@ def apply_moves_tracked(
     """Commit moves like :func:`apply_moves`, returning incremental data.
 
     The extra cost over :func:`apply_moves` is one row gather over the
-    movers, ``graph.row_view[movers]`` (SciPy's C ``csr_row_index``, self
-    loops included) — O(edges incident to movers), which shrinks with the
-    frontier as a phase converges.  The gathered neighbors and weights are
+    movers, a :func:`~repro.core.workspace.row_block` of the graph's own
+    int64 arrays (SciPy's C ``csr_row_index``, self loops included) —
+    O(edges incident to movers), which shrinks with the frontier as a
+    phase converges.  The gathered neighbors and weights are
     the movers' CSR entries in storage order.  ``S`` and ``P`` below are
     sums over ``w.take(idx)`` for index compresses ``idx``; the ``P``
     compress runs over the already-compressed intra entries.  Each sum
@@ -513,10 +516,11 @@ def apply_moves_tracked(
     k = graph.degrees[mv]
     n = graph.num_vertices
 
-    rows = graph.row_view[mv]
-    # int64 copy: NumPy fancy-indexes several times faster with intp
-    # arrays than with SciPy's int32 ones, and ``nbr`` indexes four times.
-    nbr = rows.indices.astype(np.int64)
+    # Gathered from the int64 arrays: NumPy fancy-indexes several times
+    # faster with intp arrays than with int32 ones, and ``nbr`` indexes
+    # four times.
+    rows = row_block(graph.indptr, graph.indices, graph.weights, mv, n)
+    nbr = rows.indices
     w = rows.data
     counts = np.diff(rows.indptr)
 

@@ -8,11 +8,13 @@ the phase-1 input and — more importantly in parallel — stopping hub
 vertices from being pulled into one of their degree-1 "spokes" (the Fig. 2
 hub/spoke scenario).
 
-Implementation: the merge is expressed as a community assignment
-(each vertex's representative) fed to :func:`repro.graph.coarsen.coarsen`,
-which already produces the merged graph with exact modularity-preserving
-weights.  Special case: a pair of single-degree vertices joined to each
-other (an isolated edge) collapses into its lower-id endpoint.
+Implementation: the merge is expressed as a community assignment (each
+vertex's representative).  :func:`merge_pendants` builds the merged graph
+that :func:`repro.graph.coarsen.coarsen` would build along it, with the
+same exact modularity-preserving weights, bit for bit; a VF community is
+one vertex and its pendants, so one pass over the entries does it, with
+no counting sort.  Special case: a pair of single-degree vertices joined
+to each other (an isolated edge) collapses into its lower-id endpoint.
 
 The module also implements the *extension* the paper sketches at the end
 of §5.3 — recursive merging of single-neighbor chains ("fast compression
@@ -28,12 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.coarsen import coarsen
 from repro.graph.csr import CSRGraph
+from repro.lint.sanitizer import snapshot_kernel
+from repro.utils.arrays import run_boundaries, segment_sums
 
 __all__ = [
     "VFResult",
     "chain_compress",
+    "merge_pendants",
     "single_degree_vertices",
     "single_neighbor_vertices",
     "vf_merge",
@@ -88,28 +92,19 @@ def single_neighbor_vertices(
     """
     deg = graph.unweighted_degrees
     cand = np.flatnonzero((deg == 1) | (deg == 2))
-    if cand.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=np.float64)
-    ids: list[int] = []
-    nbrs: list[int] = []
-    w_out: list[float] = []
-    # Candidate rows have <= 2 entries; inspect them directly.
-    for v in cand.tolist():
-        lo, hi = graph.indptr[v], graph.indptr[v + 1]
-        row = graph.indices[lo:hi]
-        w = graph.weights[lo:hi]
-        non_loop = row != v
-        if int(non_loop.sum()) != 1 or (hi - lo) - int(non_loop.sum()) > 1:
-            continue
-        ids.append(v)
-        nbrs.append(int(row[non_loop][0]))
-        w_out.append(float(w[non_loop][0]))
-    return (
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(nbrs, dtype=np.int64),
-        np.asarray(w_out, dtype=np.float64),
-    )
+    # A candidate row holds one or two sorted, duplicate-free entries, so
+    # a two-entry row qualifies iff one of them is the loop, and the
+    # edge is the other one.
+    two = deg.take(cand) == 2
+    first = graph.indptr.take(cand)
+    second = first + two
+    loop_first = graph.indices.take(first) == cand
+    loop_second = graph.indices.take(second) == cand
+    keep = np.flatnonzero(np.where(two, loop_first | loop_second,
+                                   ~loop_first))
+    edge = np.where(loop_first, second, first).take(keep)
+    return (cand.take(keep), graph.indices.take(edge),
+            graph.weights.take(edge).astype(np.float64))
 
 
 def _pair_off(
@@ -144,6 +139,94 @@ def _representatives(graph: CSRGraph) -> tuple[np.ndarray, int]:
     return _pair_off(n, singles, neighbor)
 
 
+def _row_search(graph: CSRGraph, rows: np.ndarray,
+                cols: np.ndarray) -> np.ndarray:
+    """Position of the first entry ``>= cols[i]`` in each row ``rows[i]``:
+    one binary search per row, run in lockstep over all of them."""
+    lo = graph.indptr.take(rows)
+    hi = graph.indptr.take(rows + 1)
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if open_.size == 0:
+            return lo
+        left, right = lo.take(open_), hi.take(open_)
+        mid = (left + right) >> 1
+        up = graph.indices.take(mid) < cols.take(open_)
+        lo[open_] = np.where(up, mid + 1, left)
+        hi[open_] = np.where(up, right, mid)
+
+
+def _entry_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:stops[i]`` of every range, in order."""
+    lengths = stops - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+@snapshot_kernel("graph")
+def merge_pendants(graph: CSRGraph,
+                   rep: np.ndarray) -> tuple[CSRGraph, np.ndarray]:
+    """``coarsen(graph, rep)``'s graph and ``vertex_to_meta`` for a VF
+    merge map, bit for bit, in one streaming pass over the entries.
+
+    ``rep`` is idempotent: a *pendant* (``rep[v] != v``) has one non-loop
+    entry, to its *host* ``rep[v]``, plus at most a loop, and no host is
+    a pendant.  A community is then one survivor and its pendants, so an
+    inter-community entry joins two survivors and is the only entry
+    between its two communities: it passes through with its weight
+    unchanged, and its mirror is equal because the input is symmetric.
+    No counting sort is needed.  The intra entries are the pendants'
+    rows, their mirrors in the host rows and the hosts' own loops; each
+    host's new loop sums them in ``coarsen``'s canonical order —
+    community, then fine row, then column, which is position order —
+    and sits where the host's column sorts in its row.  A survivor that
+    hosts nothing keeps its row, loop included, as it is.
+    """
+    n = graph.num_vertices
+    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    survivor = rep == np.arange(n, dtype=np.int64)
+    dense = np.cumsum(survivor) - 1
+    vertex_to_meta = dense.take(rep)
+
+    # The intra entries, in position order.
+    pendants = np.flatnonzero(~survivor)
+    hosts = np.unique(rep.take(pendants))
+    at_host = _row_search(graph, hosts, hosts)
+    host_loops = at_host.take(np.flatnonzero(
+        (at_host < indptr.take(hosts + 1))
+        & (indices.take(np.minimum(at_host, indices.size - 1)) == hosts)))
+    intra = np.sort(np.concat((
+        _row_search(graph, rep.take(pendants), pendants),
+        _entry_ranges(indptr.take(pendants), indptr.take(pendants + 1)),
+        host_loops,
+    )))
+
+    # Each host's loop: a segment sum over its community's entries.
+    community = rep.take(np.searchsorted(indptr, intra, side="right") - 1)
+    order = np.argsort(community, kind="stable")
+    loops = segment_sums(weights.take(intra.take(order)),
+                         run_boundaries(community.take(order)))
+
+    # Keep the inter entries and the loops of survivors that host
+    # nothing, insert each host's loop where its column sorts in its
+    # row, and renumber the columns.
+    keep = np.ones(indices.size, dtype=bool)
+    keep[intra] = False
+    at = at_host - np.searchsorted(intra, at_host)
+    src = np.insert(np.flatnonzero(keep), at, 0)
+    slots = at + np.arange(hosts.size)
+    cols = dense.take(indices.take(src))
+    cols[slots] = dense.take(hosts)
+    merged_weights = weights.take(src)
+    merged_weights[slots] = loops
+    rows = np.append(np.flatnonzero(survivor), n)
+    merged_indptr = (indptr.take(rows)
+                     - np.searchsorted(intra, indptr.take(rows))
+                     + np.searchsorted(hosts, rows))
+    merged = CSRGraph(merged_indptr, cols, merged_weights, validate=False)
+    return merged, vertex_to_meta
+
+
 def vf_merge(graph: CSRGraph) -> VFResult:
     """One round of vertex following: merge all single-degree vertices.
 
@@ -155,8 +238,8 @@ def vf_merge(graph: CSRGraph) -> VFResult:
     rep, merged = _representatives(graph)
     if merged == 0:
         return VFResult(graph, rep, 0, 0)
-    result = coarsen(graph, rep)
-    return VFResult(result.graph, result.vertex_to_meta, merged, 1)
+    merged_graph, vertex_to_meta = merge_pendants(graph, rep)
+    return VFResult(merged_graph, vertex_to_meta, merged, 1)
 
 
 def chain_compress(graph: CSRGraph, *, max_rounds: int | None = None) -> VFResult:
@@ -190,9 +273,8 @@ def chain_compress(graph: CSRGraph, *, max_rounds: int | None = None) -> VFResul
         rep, merged = _pair_off(current.num_vertices, ids, neighbor)
         if merged == 0:
             break
-        result = coarsen(current, rep)
-        mapping = result.vertex_to_meta[mapping]
+        current, vertex_to_meta = merge_pendants(current, rep)
+        mapping = vertex_to_meta[mapping]
         total_merged += merged
-        current = result.graph
         rounds += 1
     return VFResult(current, mapping, total_merged, rounds)

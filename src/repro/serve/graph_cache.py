@@ -22,6 +22,13 @@ serves that one job exactly as an uncached parse would and is never
 cached.  Sharing one graph across jobs cannot change a result: the CSR
 arrays are read-only and the graph's lazy state (degrees, ``m``, the
 row view) is a deterministic function of the content.
+
+Each entry also keeps its graph's phase-0 colors
+(:class:`PhaseColors`, read by :func:`repro.core.pipeline.use_phase_colors`):
+a fresh run's first coloring depends only on the graph, the VF mode,
+the colorer settings and the seed, so jobs that repeat those color
+once per worker.  The colors count against the same byte budget and
+leave with their graph.
 """
 
 from __future__ import annotations
@@ -31,10 +38,11 @@ from collections import OrderedDict
 
 from repro.serve.job import parse_graph_ref
 
-__all__ = ["GRAPH_CACHE_BYTES", "GraphCache"]
+__all__ = ["GRAPH_CACHE_BYTES", "GraphCache", "PhaseColors"]
 
 #: Bytes of graphs one worker keeps: :attr:`CSRGraph.nbytes` plus the
-#: index arrays of the built row view.  A larger graph is used uncached.
+#: index arrays of the built row view, plus each graph's
+#: :class:`PhaseColors`.  A larger graph is used uncached.
 GRAPH_CACHE_BYTES = 256 << 20
 
 _READ_BYTES = 1 << 20
@@ -49,17 +57,57 @@ def _file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
+class PhaseColors:
+    """One cached graph's phase-0 colors, keyed by the run settings that
+    determine them (see :func:`repro.core.pipeline.use_phase_colors`)."""
+
+    def __init__(self, cache: "GraphCache", key):
+        self._cache = cache
+        self._key = key
+        self._colors: dict = {}
+        #: Bytes of the stored color arrays.
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._colors)
+
+    def get(self, key):
+        """The colors stored under ``key``, or ``None``."""
+        return self._colors.get(key)
+
+    def put(self, key, colors) -> None:
+        """Keep ``colors`` (a read-only array) under ``key`` while the
+        graph is cached, evicting other graphs to make room; colors that
+        would not fit beside their graph are not kept."""
+        cache = self._cache
+        entry = cache._entries.get(self._key)
+        if (entry is not None and entry[2] is self
+                and cache._make_room(colors.nbytes, keep=self._key)):
+            self._colors[key] = colors
+            self.nbytes += colors.nbytes
+            cache.nbytes += colors.nbytes
+
+
 class GraphCache:
     """An LRU of parsed graphs within a byte budget (see the module doc)."""
 
     def __init__(self):
-        #: Total size of the cached entries, at most
-        #: :data:`GRAPH_CACHE_BYTES`.
+        #: Total size of the cached entries, their colors included, at
+        #: most :data:`GRAPH_CACHE_BYTES`.
         self.nbytes = 0
+        #: key -> (graph, graph bytes, PhaseColors), least recent first.
         self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def phase_colors(self, graph) -> "PhaseColors | None":
+        """The colors memo of the entry holding ``graph`` (by identity),
+        or ``None`` when ``graph`` is not cached."""
+        for cached, _, colors in self._entries.values():
+            if cached is graph:
+                return colors
+        return None
 
     def resolve(self, ref: str) -> "tuple[object, str]":
         """The graph ``ref`` names and how it was found: ``"hit"``,
@@ -85,9 +133,18 @@ class GraphCache:
         size = graph.nbytes + view.indptr.nbytes + view.indices.nbytes
         if size > GRAPH_CACHE_BYTES:
             return graph, "uncached"
-        while self.nbytes + size > GRAPH_CACHE_BYTES:
-            _, (_, evicted) = self._entries.popitem(last=False)
-            self.nbytes -= evicted
-        self._entries[key] = (graph, size)
+        self._make_room(size)
+        self._entries[key] = (graph, size, PhaseColors(self, key))
         self.nbytes += size
         return graph, "miss"
+
+    def _make_room(self, size: int, keep=None) -> bool:
+        """Evict least recently used entries other than ``keep`` until
+        ``size`` more bytes fit; false when they cannot."""
+        while self.nbytes + size > GRAPH_CACHE_BYTES:
+            victim = next((k for k in self._entries if k != keep), None)
+            if victim is None:
+                return False
+            _, graph_bytes, colors = self._entries.pop(victim)
+            self.nbytes -= graph_bytes + colors.nbytes
+        return True

@@ -139,10 +139,12 @@ def _run_job(job_id: str, spec: JobSpec, spool: str,
     ``spec.graph`` resolves through the worker's ``graphs`` cache;
     ``meta["graph_cache"]`` says whether it was a ``"hit"``, a
     ``"miss"`` or ``"uncached"``.  ``meta["elapsed"]`` includes the
-    resolution either way.
+    resolution either way.  A cached graph's phase-0 colors are reused
+    by every fresh run on it with the same coloring settings.
     """
     from repro.core.config import LouvainConfig
     from repro.core.driver import louvain
+    from repro.core.pipeline import use_phase_colors
 
     recovered_corrupt = False
     res_path = result_path(spool, job_id)
@@ -187,8 +189,9 @@ def _run_job(job_id: str, spec: JobSpec, spool: str,
     config = LouvainConfig.from_dict(fields)
     start = monotonic()
     graph, cache_outcome = graphs.resolve(spec.graph)
-    result = louvain(graph=graph, config=config,
-                     checkpoint=ckpt_path, resume=resume)
+    with use_phase_colors(graph, graphs.phase_colors(graph)):
+        result = louvain(graph=graph, config=config,
+                         checkpoint=ckpt_path, resume=resume)
     meta = {
         "modularity": float(result.modularity),
         "num_communities": int(result.num_communities),

@@ -136,6 +136,27 @@ class TestHistory:
         assert h.final_modularity == 0.0
         assert h.modularity_trajectory().shape == (0,)
 
+    def test_json_is_the_asdict_json_of_a_colored_run(self):
+        """The field-by-field dicts serialize byte for byte as
+        ``dataclasses.asdict`` did, color-set tuples included, and the
+        string round-trips."""
+        import json
+
+        from repro.core.driver import louvain
+        from repro.graph.generators import rmat
+
+        history = louvain(rmat(10, 8, seed=2), variant="baseline+VF+Color",
+                          coloring_min_vertices=16, seed=2).history
+        assert history.phases[0].colored
+        assert history.phases[0].color_class_sizes
+        assert len(history.iterations[0].color_set_vertices) > 1
+        want = json.dumps({
+            "iterations": [asdict(r) for r in history.iterations],
+            "phases": [asdict(r) for r in history.phases],
+        })
+        assert history.to_json() == want
+        assert ConvergenceHistory.from_json(want) == history
+
 
 class TestDendrogram:
     def test_flatten_levels(self):

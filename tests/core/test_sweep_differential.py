@@ -250,10 +250,13 @@ class TestTargetsMatchOracle:
 
 
 def indicator_product(block, comm, n):
-    """SciPy's generic two-pass ``A @ S``: the single-pass product's oracle."""
+    """SciPy's generic two-pass ``A @ S``: the single-pass product's oracle.
+    ``block`` is a plan's row block: a ``RowBlock`` or a CSR matrix."""
     indicator = sparse.csr_matrix(
         (np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
-    return block @ indicator
+    matrix = sparse.csr_matrix((block.data, block.indices, block.indptr),
+                               shape=block.shape)
+    return matrix @ indicator
 
 
 def assert_same_pairs(plan, comm, n):
@@ -298,6 +301,25 @@ class TestSinglePassProduct:
         comm = np.array([2, 5, 2, 5, 0, 6, 5], dtype=np.int64)
         assert_same_pairs(plan, comm, n)
 
+
+    def test_workspace_indicator(self):
+        """A workspace builds ``S``'s label-free arrays once; the pairs
+        are the same bits, and a workspace over another graph, whose
+        arrays have the wrong length, is refused before the call."""
+        graph = planted_partition(3, 8, 0.5, 0.1, seed=1)
+        n = graph.num_vertices
+        workspace = SweepWorkspace(graph)
+        plan = workspace.plan(np.arange(0, n, 3, dtype=np.int64))
+        comm = np.arange(n, dtype=np.int64) // 2
+        for _ in range(2):
+            got = aggregate_pairs(plan, comm, n, "matmul", workspace)
+            want = aggregate_pairs(plan, comm, n, "matmul")
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert workspace.indicator(np.int32) is workspace.indicator(np.int32)
+        other = SweepWorkspace(planted_partition(3, 9, 0.5, 0.1, seed=1))
+        with pytest.raises(ValidationError):
+            aggregate_pairs(plan, comm, n, "matmul", other)
 
     @pytest.mark.parametrize("bad", [-1, 8])
     def test_rejects_labels_outside_the_accumulator(self, bad):

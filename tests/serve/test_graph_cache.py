@@ -200,3 +200,181 @@ class TestServedJobs:
         again, labels = _run(service, {"graph": GRAPH_REF})
         assert again["meta"]["graph_cache"] == "hit"
         np.testing.assert_array_equal(labels, direct)
+
+
+VF_COLOR_REF = "dataset:uk-2002?scale=0.25&seed=3"
+VF_COLOR = {"use_vf": True, "use_coloring": True,
+            "coloring_min_vertices": 16, "seed": 3}
+
+
+def _in_process(ref, **fields):
+    from repro.core.config import LouvainConfig
+
+    return louvain(resolve_graph_ref(ref),
+                   config=LouvainConfig(**{**VF_COLOR, **fields}))
+
+
+def _same_run(got, want):
+    np.testing.assert_array_equal(got.communities, want.communities)
+    assert repr(got.modularity) == repr(want.modularity)
+    assert got.history.to_json() == want.history.to_json()
+
+
+@pytest.fixture
+def colorings(monkeypatch):
+    """The vertex count of every graph a run colors, in order."""
+    from repro.core import pipeline
+
+    sizes = []
+    color = pipeline._color
+
+    def counted(graph, cfg):
+        sizes.append(graph.num_vertices)
+        return color(graph, cfg)
+
+    monkeypatch.setattr(pipeline, "_color", counted)
+    return sizes
+
+
+def _colored_sizes(run):
+    return [p.num_vertices for p in run.history.phases if p.colored]
+
+
+class TestPhaseColors:
+    """Each cached graph keeps its phase-0 colors; a run that reads them
+    is bitwise the run that colors afresh."""
+
+    def test_warm_run_is_bitwise_the_cold_run(self, colorings):
+        from repro.core.config import LouvainConfig
+        from repro.core.pipeline import use_phase_colors
+
+        direct = _in_process(VF_COLOR_REF)
+        sizes = _colored_sizes(direct)
+        assert colorings == sizes and len(sizes) >= 2
+        cache = GraphCache()
+        graph, _ = cache.resolve(VF_COLOR_REF)
+        memo = cache.phase_colors(graph)
+        config = LouvainConfig(**VF_COLOR)
+        runs = []
+        for _ in range(2):
+            colorings.clear()
+            with use_phase_colors(graph, memo):
+                runs.append(louvain(graph, config=config))
+            _same_run(runs[-1], direct)
+        # The warm run colors every phase but the first.
+        assert colorings == sizes[1:] and len(memo) == 1
+
+    def test_other_settings_and_graphs_color_afresh(self, colorings):
+        from repro.core.config import LouvainConfig
+        from repro.core.pipeline import use_phase_colors
+
+        cache = GraphCache()
+        graph, _ = cache.resolve(VF_COLOR_REF)
+        memo = cache.phase_colors(graph)
+        variants = [{}, {"seed": 4}, {"colorer": "greedy"},
+                    {"use_vf": False}]
+        for count, fields in enumerate(variants, start=1):
+            direct = _in_process(VF_COLOR_REF, **fields)
+            colorings.clear()
+            with use_phase_colors(graph, memo):
+                run = louvain(graph, config=LouvainConfig(
+                    **{**VF_COLOR, **fields}))
+            _same_run(run, direct)
+            assert colorings == _colored_sizes(direct)
+            assert len(memo) == count
+        # A run on another graph in the scope neither reads nor fills
+        # the memo.
+        other = resolve_graph_ref("dataset:uk-2002?scale=0.25&seed=4")
+        colorings.clear()
+        with use_phase_colors(graph, memo):
+            run = louvain(other, config=LouvainConfig(**VF_COLOR))
+        assert colorings == _colored_sizes(run)
+        assert len(memo) == len(variants)
+
+    def test_served_jobs_share_colors_and_resume_unchanged(self, tmp_path,
+                                                           colorings):
+        """In the worker's job function: a warm job reuses the colors, a
+        job killed in phase 1 resumes without them, and every label file
+        equals the in-process run's."""
+        from repro.serve.job import JobSpec, result_path
+        from repro.serve.pool import _run_job, load_result
+        from repro.utils.errors import FaultInjected
+
+        spool = str(tmp_path)
+        cache = GraphCache()
+        direct = _in_process(VF_COLOR_REF)
+        sizes = _colored_sizes(direct)
+        spec = JobSpec(graph=VF_COLOR_REF, config=dict(VF_COLOR))
+        for job_id, colored in (("job-0", sizes), ("job-1", sizes[1:])):
+            colorings.clear()
+            status, meta = _run_job(job_id, spec, spool, cache)
+            assert status == "ok" and colorings == colored
+            labels, _ = load_result(result_path(spool, job_id))
+            np.testing.assert_array_equal(labels, direct.communities)
+            assert meta["modularity"] == direct.modularity
+        killed = JobSpec(graph=VF_COLOR_REF, config={
+            **VF_COLOR, "fault_plan": "raise:phase=1,sweep=0"})
+        colorings.clear()
+        with pytest.raises(FaultInjected):
+            _run_job("job-2", killed, spool, cache)
+        assert colorings == sizes[1:2]
+        colorings.clear()
+        status, meta = _run_job("job-2", killed, spool, cache)
+        assert status == "ok" and meta["resumed_from_phase"] == 1
+        assert colorings == sizes[1:]
+        labels, _ = load_result(result_path(spool, "job-2"))
+        np.testing.assert_array_equal(labels, direct.communities)
+        assert len(cache.phase_colors(cache.resolve(VF_COLOR_REF)[0])) == 1
+
+    def test_colors_count_against_the_budget(self, monkeypatch):
+        refs = [f"planted:4x30?seed={s}" for s in range(3)]
+        colors = np.arange(120, dtype=np.int64)
+        colors.setflags(write=False)
+        cache = GraphCache()
+        graphs, graph_bytes = [], []
+        for ref in refs:
+            before = cache.nbytes
+            graphs.append(cache.resolve(ref)[0])
+            graph_bytes.append(cache.nbytes - before)
+        for i, graph in enumerate(graphs):
+            memo = cache.phase_colors(graph)
+            for key in range(i + 1):
+                memo.put(key, colors)
+            assert memo.nbytes == (i + 1) * colors.nbytes
+        assert cache.nbytes == sum(graph_bytes) + 6 * colors.nbytes
+        assert cache.nbytes == sum(
+            size + cache.phase_colors(g).nbytes
+            for g, size in zip(graphs, graph_bytes))
+        # Colors that overflow the budget evict the oldest graph, and its
+        # colors with it.
+        monkeypatch.setattr(graph_cache, "GRAPH_CACHE_BYTES", cache.nbytes)
+        cache.phase_colors(graphs[2]).put(99, colors)
+        assert len(cache) == 2 and cache.phase_colors(graphs[0]) is None
+        assert cache.nbytes == sum(graph_bytes[1:]) + 6 * colors.nbytes
+        assert cache.resolve(refs[0])[1] == "miss"
+        assert len(cache.phase_colors(cache.resolve(refs[0])[0])) == 0
+
+    def test_colors_that_cannot_fit_are_not_kept(self, monkeypatch):
+        cache = GraphCache()
+        graph, _ = cache.resolve("planted:4x30?seed=0")
+        monkeypatch.setattr(graph_cache, "GRAPH_CACHE_BYTES", cache.nbytes)
+        memo = cache.phase_colors(graph)
+        memo.put("key", np.zeros(8, dtype=np.int64))
+        assert memo.get("key") is None and memo.nbytes == 0
+        assert len(cache) == 1 and cache.nbytes == graph.nbytes + (
+            graph.row_view.indptr.nbytes + graph.row_view.indices.nbytes)
+
+
+class TestServedVFColorJobs:
+    def test_warm_job_and_resume_match_in_process(self, service):
+        direct = _in_process(VF_COLOR_REF).communities
+        for _ in range(2):
+            _, labels = _run(service, {"graph": VF_COLOR_REF,
+                                       "config": dict(VF_COLOR)})
+            np.testing.assert_array_equal(labels, direct)
+        crashed, labels = _run(service, {
+            "graph": VF_COLOR_REF,
+            "config": {**VF_COLOR, "fault_plan": "raise:phase=1,sweep=0"},
+        })
+        assert crashed["attempts"] == 2
+        np.testing.assert_array_equal(labels, direct)
